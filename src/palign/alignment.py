@@ -178,8 +178,8 @@ def batch_loss_and_grads(
     return float(loss.data), grads
 
 
-def _cached_features(backbone, manifest: TripletManifest, mode: FeatureMode):
-    feats: dict[str, np.ndarray] = {}
+def _cached_features(backbone, manifest: TripletManifest, mode: FeatureMode, feats):
+    feats = {} if feats is None else feats
     for e in manifest:
         for id in (e.ref, e.x0, e.x1):
             if id not in feats:
@@ -187,11 +187,17 @@ def _cached_features(backbone, manifest: TripletManifest, mode: FeatureMode):
     return feats
 
 
-def mean_alignment_loss(backbone, manifest: TripletManifest, config: AlignmentConfig) -> float:
-    """Mean Eq.-style hinge loss over a manifest with frozen current params."""
+def mean_alignment_loss(
+    backbone, manifest: TripletManifest, config: AlignmentConfig, feats=None
+) -> float:
+    """Mean Eq.-style hinge loss over a manifest with frozen current params.
+
+    `feats` is an optional id -> feature cache for the current params and
+    mode; ids it lacks are featurized and added to it.
+    """
     if not len(manifest):
         raise DataError("manifest must be non-empty")
-    feats = _cached_features(backbone, manifest, config.feature_mode)
+    feats = _cached_features(backbone, manifest, config.feature_mode, feats)
     total = 0.0
     for e in manifest:
         d0 = float(cosine_distance(feats[e.ref], feats[e.x0]))
@@ -200,14 +206,15 @@ def mean_alignment_loss(backbone, manifest: TripletManifest, config: AlignmentCo
     return total / len(manifest)
 
 
-def two_afc_accuracy(backbone, manifest: TripletManifest, mode: FeatureMode) -> float:
+def two_afc_accuracy(backbone, manifest: TripletManifest, mode: FeatureMode, feats=None) -> float:
     """Fraction of triplets whose closer image matches the judgment.
 
-    Exact distance ties earn half credit.
+    Exact distance ties earn half credit. `feats` is a feature cache as in
+    mean_alignment_loss.
     """
     if not len(manifest):
         raise DataError("manifest must be non-empty")
-    feats = _cached_features(backbone, manifest, mode)
+    feats = _cached_features(backbone, manifest, mode, feats)
     hits = 0.0
     for e in manifest:
         d0 = float(cosine_distance(feats[e.ref], feats[e.x0]))
@@ -244,11 +251,12 @@ def train_alignment(
     entries = list(train)
 
     def evaluate(epoch: int, train_loss: float | None) -> dict:
+        feats: dict[str, np.ndarray] = {}  # the val split, featurized once per pass
         return {
             "epoch": epoch,
             "train_loss": train_loss,
-            "val_loss": mean_alignment_loss(backbone, val, config),
-            "val_2afc": two_afc_accuracy(backbone, val, config.feature_mode),
+            "val_loss": mean_alignment_loss(backbone, val, config, feats),
+            "val_2afc": two_afc_accuracy(backbone, val, config.feature_mode, feats),
         }
 
     history = [evaluate(0, None)]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gelu, layer_norm, softmax
+from .autodiff import _GELU_C, Tensor, concat, gelu, layer_norm, softmax
 from .data import EmbeddingStore
 from .errors import DataError, FormatError
 
@@ -341,9 +341,6 @@ def _np_softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-
-
 def _np_gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
 
@@ -357,34 +354,13 @@ class ToyEncoder:
     # ---- plain numpy path -------------------------------------------------
 
     def forward_np(self, x: np.ndarray) -> FeatureBundle:
-        p = self.params
-        cfg = p.config
-        if x.shape != (cfg.s, cfg.s, cfg.d_in):
-            raise DataError(f"input shape {x.shape} != {(cfg.s, cfg.s, cfg.d_in)}")
-        d, heads = cfg.d_model, cfg.n_heads
-        dk = d // heads
-        tokens = x.reshape(cfg.s * cfg.s, cfg.d_in).astype(np.float64) @ p.patch_embed
-        tokens = tokens + p.pos_embed
-        tokens = np.concatenate([p.cls_seed[None, :], tokens], axis=0)
-        n = tokens.shape[0]
-        for i, layer in enumerate(p.layers):
-            h = _np_layer_norm(tokens)
-            wq = lora_effective_weight(layer.wq, p.adapters[f"layer{i}.q"])
-            wv = lora_effective_weight(layer.wv, p.adapters[f"layer{i}.v"])
-            q = (h @ wq.T).reshape(n, heads, dk).transpose(1, 0, 2)
-            k = (h @ layer.wk.T).reshape(n, heads, dk).transpose(1, 0, 2)
-            v = (h @ wv.T).reshape(n, heads, dk).transpose(1, 0, 2)
-            attn = _np_softmax((q @ k.transpose(0, 2, 1)) * dk**-0.5)
-            mixed = (attn @ v).transpose(1, 0, 2).reshape(n, d)
-            tokens = tokens + mixed @ layer.wo.T
-            h2 = _np_layer_norm(tokens)
-            tokens = tokens + _np_gelu(h2 @ layer.w1.T) @ layer.w2.T
-        tokens = _np_layer_norm(tokens)
-        return FeatureBundle(cls=tokens[0], patch=tokens[1:].reshape(cfg.s, cfg.s, d))
+        """One (s, s, d_in) input: the batch forward at b = 1."""
+        cls, patch = self.forward_np_batch(np.asarray(x)[None])
+        return FeatureBundle(cls=cls[0], patch=patch[0])
 
     def forward_np_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized forward over a batch (b, s, s, d_in); same op order as
-        forward_np. Returns (cls (b, d), patch (b, s, s, d))."""
+        """Vectorized forward over a batch (b, s, s, d_in), checked against
+        forward_graph in tests. Returns (cls (b, d), patch (b, s, s, d))."""
         p = self.params
         cfg = p.config
         b = xs.shape[0]

@@ -6,6 +6,10 @@ own artifacts (stores, manifests, adapter checkpoints, history). Reports
 are byte-reproducible given identical flags and seed, except the wall_time_s
 field.
 
+Each command's settings are declared once, in OPTIONS: the argparse flags
+and the --config file loader are both built from that table, so a value
+means the same whether it comes from a flag or a file.
+
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
@@ -14,10 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -58,48 +63,159 @@ _MODES = {"cls": FeatureMode.CLS_ONLY, "patch": FeatureMode.CLS_PLUS_POOLED_PATC
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# option declarations
 # ---------------------------------------------------------------------------
 
 
-def _load_config_file(path: str, known_keys: set[str]) -> dict:
-    """Flat key=value file; unknown keys are rejected."""
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok]
+
+
+# List-valued settings stay text in the config, as reports record them; the
+# parsers below only check that the text splits into numbers. Their names
+# carry no underscore because argparse quotes them in usage errors.
+
+
+def int_list(text: str) -> str:
+    if not _ints(text):
+        raise ValueError("empty list")
+    return text
+
+
+def float_list(text: str) -> str:
+    if not _floats(text):
+        raise ValueError("empty list")
+    return text
+
+
+def float_pair(text: str) -> str:
+    if len(_floats(text)) != 2:
+        raise ValueError("need two values")
+    return text
+
+
+def boolean(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("1", "true", "yes")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting: flag --name (underscores as dashes), config key name.
+
+    `parse` turns the text of a flag or a config-file value into the value;
+    it raises ValueError on bad text. A `boolean` option is a bare flag.
+    """
+
+    name: str
+    parse: Callable[[str], Any]
+    default: Any
+    help: str
+    choices: tuple[str, ...] = ()
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_SEED = Option("seed", int, 0, "random seed")
+_CSV = Option("csv", boolean, False, "also write metrics.csv")
+_FEATURE_MODE = Option("feature_mode", str, "cls", "CLS, or CLS + pooled patches", ("cls", "patch"))
+_LORA = (
+    Option("lora_rank", int, 16, "adapter rank r"),
+    Option("lora_alpha", float, 0.5, "adapter scale alpha (update is alpha/r * B @ A)"),
+    Option("lora_dropout", float, 0.0, "adapter input dropout"),
+)
+_LR = Option("lr", float, 3e-4, "Adam learning rate")
+_BATCH = Option("batch", int, 16, "triplets per step")
+_EPOCHS = Option("epochs", int, 8, "training epochs")
+_VAL_FRAC = Option("val_frac", float, 0.1, "share of triplets held out for val (and for test)")
+_KS = Option("ks", int_list, "1,3,5", "comma-separated k values")
+_MARGIN = Option("margin", float, 0.05, "hinge margin m")
+_TRAIN = (_MARGIN, _LR, _BATCH, _EPOCHS, _FEATURE_MODE, _SEED, *_LORA, _VAL_FRAC, _CSV)
+
+OPTIONS: dict[str, tuple[Option, ...]] = {
+    "synth": (
+        Option("n", int, 1000, "number of triplets"),
+        Option("d", int, 64, "embedding dimension"),
+        Option("s", int, 0, "patch grid side (0 = none)"),
+        Option("factors", int, 8, "latent factor count"),
+        Option("noise", float, 0.0, "embedding noise (relative)"),
+        Option("instances", int, 200, "held-out retrieval instances"),
+        _SEED,
+        _CSV,
+    ),
+    "align": (*_TRAIN, Option("max_steps", int, None, "stop after this many steps")),
+    "eval": (
+        _FEATURE_MODE,
+        _SEED,
+        _KS,
+        Option("k", int, 3, "examples per RAG bundle"),
+        *_LORA,
+        Option("adapters", str, None, "adapter checkpoint to apply"),
+        Option("c_grid", float_list, "1,10,100,1000,10000,100000,1000000", "probe C values"),
+        Option("folds", int, 10, "probe cross-validation folds"),
+        replace(_VAL_FRAC, default=0.2, help="share of labeled ids held out by the probe"),
+        Option("bins", int, 256, "depth bins"),
+        Option("depth_range", float_pair, "0.001,10", "d_min,d_max in meters"),
+        Option("silog_sign", str, "paper", "SILog loss sign convention", ("paper", "classic")),
+        replace(_LR, help="dense-head learning rate"),
+        replace(_EPOCHS, default=10, help="dense-head epochs"),
+        replace(_BATCH, default=None, help="dense-head images per step (seg 16, depth 128)"),
+        Option("train_frac", float, 0.8, "share of dense images used to train the head"),
+        _CSV,
+    ),
+    "ablate": (
+        *_TRAIN,
+        Option("budget", int, 13_900, "triplet budget per dataset"),
+        Option("steps", int_list, None, "comma-separated step counts to ablate"),
+        Option("tasks", str, "retrieval", "comma-separated tasks: retrieval, afc"),
+        _KS,
+    ),
+}
+
+
+def _load_config_file(path: str, options) -> dict:
+    """Flat key=value file, each value parsed like its flag; unknown keys are rejected."""
+    by_name = {opt.name: opt for opt in options}
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc})") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in known_keys:
+        key, raw = (part.strip() for part in line.split("=", 1))
+        opt = by_name.get(key.replace("-", "_"))
+        if opt is None:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value.strip()
+        try:
+            out[opt.name] = opt.parse(raw)
+            if opt.choices and out[opt.name] not in opt.choices:
+                raise ValueError
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad value {raw!r} for {opt.name}") from None
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag > config file > default, for every known key."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config, set(defaults))
+def _resolve(args: argparse.Namespace) -> dict:
+    """Flag > config file > default, for every option of the command."""
+    options = OPTIONS[args.command]
+    from_file = _load_config_file(args.config, options) if args.config else {}
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            caster = type(default) if default is not None else str
-            raw = file_values[key]
-            if caster is bool:
-                resolved[key] = raw.lower() in ("1", "true", "yes")
-            elif default is None:
-                resolved[key] = raw
-            else:
-                resolved[key] = caster(raw)
-        else:
-            resolved[key] = default
+    for opt in options:
+        flag = getattr(args, opt.name)
+        resolved[opt.name] = flag if flag is not None else from_file.get(opt.name, opt.default)
     return resolved
 
 
@@ -140,21 +256,13 @@ def _flatten(metrics: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok]
-
-
 def _backbone_for(store, config: dict) -> StoreBackbone:
     bb = StoreBackbone(
         store,
-        rank=config.get("lora_rank", 16),
-        alpha=config.get("lora_alpha", 0.5),
-        dropout_p=config.get("lora_dropout", 0.0),
-        seed=config.get("seed", 0),
+        rank=config["lora_rank"],
+        alpha=config["lora_alpha"],
+        dropout_p=config["lora_dropout"],
+        seed=config["seed"],
     )
     if config.get("adapters"):
         bb.load_trainable(load_adapters(config["adapters"]))
@@ -163,7 +271,7 @@ def _backbone_for(store, config: dict) -> StoreBackbone:
 
 def _featurizer(store, config: dict):
     bb = _backbone_for(store, config)
-    mode = _MODES[config.get("feature_mode", "cls")]
+    mode = _MODES[config["feature_mode"]]
     return lambda id: bb.feature_np(id, mode)
 
 
@@ -172,26 +280,38 @@ def _read_id_list(path: str) -> list[str]:
     return [id for id in ids if id]
 
 
+def _gallery_and_queries(featurize, ids, labels_path, queries_path):
+    """Index of the labeled non-query ids, query features, and the labels.
+
+    Every query must carry a label; the gallery keeps store order.
+    """
+    labels = load_labels(labels_path)
+    query_ids = _read_id_list(queries_path)
+    for q in query_ids:
+        if q not in labels:
+            raise DataError(f"query {q!r} has no label")
+    skip = set(query_ids)
+    gallery = [id for id in ids if id in labels and id not in skip]
+    if not gallery:
+        raise DataError(f"no labeled gallery ids outside the queries in {labels_path}")
+    index = build_index(np.stack([featurize(id) for id in gallery]), gallery)
+    queries = {q: featurize(q) for q in query_ids}
+    return index, queries, labels
+
+
+def _recall(featurize, ids, labels_path, queries_path, ks: str) -> dict:
+    index, queries, labels = _gallery_and_queries(featurize, ids, labels_path, queries_path)
+    truth = {q: {g for g in index.ids if labels[g] == labels[q]} for q in queries}
+    return recall_at_k(index, queries, truth, ks=_ints(ks)).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
-_SYNTH_DEFAULTS = dict(
-    n=1000,
-    d=64,
-    s=0,
-    factors=8,
-    noise=0.0,
-    seed=0,
-    instances=200,
-    threads=None,
-    csv=False,
-)
 
-
-def cmd_synth(args) -> int:
+def cmd_synth(args, config) -> int:
     t0 = time.time()
-    config = _resolve(args, _SYNTH_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = SyntheticFactorSpec(
@@ -226,22 +346,6 @@ def cmd_synth(args) -> int:
 # align
 # ---------------------------------------------------------------------------
 
-_ALIGN_DEFAULTS = dict(
-    margin=0.05,
-    lr=3e-4,
-    batch=16,
-    epochs=8,
-    feature_mode="cls",
-    seed=0,
-    lora_rank=16,
-    lora_alpha=0.5,
-    lora_dropout=0.0,
-    val_frac=0.1,
-    max_steps=None,
-    threads=None,
-    csv=False,
-)
-
 
 def _align_config(config: dict) -> AlignmentConfig:
     return AlignmentConfig(
@@ -258,9 +362,16 @@ def _align_config(config: dict) -> AlignmentConfig:
     )
 
 
-def cmd_align(args) -> int:
+def _split(manifest: TripletManifest, config: dict):
+    frac = config["val_frac"]
+    if not 0.0 < frac < 0.5:
+        raise DataError(f"--val-frac must be in (0, 0.5), got {frac}")
+    train, val, _ = split_manifest(manifest, (1.0 - 2 * frac, frac, frac), seed=config["seed"])
+    return train, val
+
+
+def cmd_align(args, config) -> int:
     t0 = time.time()
-    config = _resolve(args, _ALIGN_DEFAULTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     store = load_store(args.store)
@@ -268,10 +379,7 @@ def cmd_align(args) -> int:
     if args.val_manifest:
         train, val = manifest, load_manifest(args.val_manifest, split_tag="val")
     else:
-        frac = config["val_frac"]
-        if not 0.0 < frac < 0.5:
-            raise DataError(f"--val-frac must be in (0, 0.5), got {frac}")
-        train, val, _ = split_manifest(manifest, (1.0 - 2 * frac, frac, frac), seed=config["seed"])
+        train, val = _split(manifest, config)
     cfg = _align_config(config)
     backbone = _backbone_for(store, config)
     snapshot, history = train_alignment(cfg, backbone, train, val)
@@ -297,51 +405,17 @@ def cmd_align(args) -> int:
 # eval subcommands
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = dict(
-    feature_mode="cls",
-    seed=0,
-    ks="1,3,5",
-    k=3,
-    lora_rank=16,
-    lora_alpha=0.5,
-    lora_dropout=0.0,
-    adapters=None,
-    c_grid="1,10,100,1000,10000,100000,1000000",
-    folds=10,
-    val_frac=0.2,
-    bins=256,
-    depth_range="0.001,10",
-    silog_sign="paper",
-    lr=3e-4,
-    epochs=10,
-    batch=None,
-    train_frac=0.8,
-    threads=None,
-    csv=False,
-)
-
 
 def _eval_retrieval(args, config, store) -> dict:
     featurize = _featurizer(store, config)
-    labels = load_labels(args.labels)
-    query_ids = _read_id_list(args.queries)
-    gallery = [id for id in store.ids() if id in labels and id not in set(query_ids)]
-    index = build_index(np.stack([featurize(id) for id in gallery]), gallery)
-    queries = {q: featurize(q) for q in query_ids}
-    truth = {}
-    for q in query_ids:
-        if q not in labels:
-            raise DataError(f"query {q!r} has no label")
-        truth[q] = {g for g in gallery if labels[g] == labels[q]}
-    report = recall_at_k(index, queries, truth, ks=_parse_int_list(config["ks"]))
-    return report.to_dict()
+    return _recall(featurize, store.ids(), args.labels, args.queries, config["ks"])
 
 
 def _eval_count(args, config, store) -> dict:
     featurize = _featurizer(store, config)
     train = CountDataset.from_store(store, load_labels(args.train_labels), featurize)
     test = CountDataset.from_store(store, load_labels(args.test_labels), featurize)
-    return knn_count_eval(train, test, ks=_parse_int_list(config["ks"]))
+    return knn_count_eval(train, test, ks=_ints(config["ks"]))
 
 
 def _dense_inputs(args, config, store):
@@ -349,11 +423,8 @@ def _dense_inputs(args, config, store):
         raise DataError("dense evaluation needs a store with patch grids (s > 0)")
     target_dir = Path(args.targets)
     adapters = None
-    if config.get("adapters"):
-        named = load_adapters(config["adapters"])
-        bb = _backbone_for(store, config)
-        bb.load_trainable(named)
-        adapters = np.eye(store.dim) + bb.adapter.delta()
+    if config["adapters"]:
+        adapters = np.eye(store.dim) + _backbone_for(store, config).adapter.delta()
     features, targets, kinds = [], [], set()
     for id in store.ids():
         path = target_dir / f"{id}.palt"
@@ -379,50 +450,27 @@ def _split_counts(n: int, train_frac: float, seed: int):
     return perm[:n_train], perm[n_train:]
 
 
-def _eval_seg(args, config, store) -> dict:
+def _eval_dense(args, config, store) -> dict:
+    """A linear seg or depth head (args.task) on the patch tokens."""
     features, targets = _dense_inputs(args, config, store)
-    n_classes = max(int(t.values.max()) for t in targets) + 1
+    if args.task == "seg":
+        head = {"n_classes": max(int(t.values.max()) for t in targets) + 1}
+    else:
+        lo, hi = _floats(config["depth_range"])
+        binning = DepthBinning(d_min=lo, d_max=hi, n_bins=config["bins"])
+        head = {"binning": binning, "silog_sign": config["silog_sign"]}
     tr, te = _split_counts(len(features), config["train_frac"], config["seed"])
     hyper = HeadHyper(
         lr=config["lr"],
         epochs=config["epochs"],
-        batch_size=config["batch"] or 16,
+        batch_size=config["batch"] or (16 if args.task == "seg" else 128),
         seed=config["seed"],
     )
-    head, history = train_linear_head(
-        "seg",
-        [features[i] for i in tr],
-        [targets[i] for i in tr],
-        hyper,
-        n_classes=n_classes,
+    trained, history = train_linear_head(
+        args.task, [features[i] for i in tr], [targets[i] for i in tr], hyper, **head
     )
-    metrics = eval_seg(head, [features[i] for i in te], [targets[i] for i in te])
-    metrics["final_train_loss"] = history[-1] if history else None
-    metrics["n_train_images"] = len(tr)
-    metrics["n_test_images"] = len(te)
-    return metrics
-
-
-def _eval_depth(args, config, store) -> dict:
-    features, targets = _dense_inputs(args, config, store)
-    lo, hi = _parse_float_list(config["depth_range"])
-    binning = DepthBinning(d_min=lo, d_max=hi, n_bins=config["bins"])
-    tr, te = _split_counts(len(features), config["train_frac"], config["seed"])
-    hyper = HeadHyper(
-        lr=config["lr"],
-        epochs=config["epochs"],
-        batch_size=config["batch"] or 128,
-        seed=config["seed"],
-    )
-    head, history = train_linear_head(
-        "depth",
-        [features[i] for i in tr],
-        [targets[i] for i in tr],
-        hyper,
-        binning=binning,
-        silog_sign=config["silog_sign"],
-    )
-    metrics = eval_depth(head, [features[i] for i in te], [targets[i] for i in te])
+    score = eval_seg if args.task == "seg" else eval_depth
+    metrics = score(trained, [features[i] for i in te], [targets[i] for i in te])
     metrics["final_train_loss"] = history[-1] if history else None
     metrics["n_train_images"] = len(tr)
     metrics["n_test_images"] = len(te)
@@ -442,7 +490,7 @@ def _eval_probe(args, config, store) -> dict:
     n_val = max(1, int(round(config["val_frac"] * len(ids))))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     probe_cfg = ProbeConfig(
-        c_grid=tuple(_parse_float_list(config["c_grid"])),
+        c_grid=tuple(_floats(config["c_grid"])),
         folds=config["folds"],
         seed=config["seed"],
     )
@@ -455,35 +503,30 @@ def _eval_probe(args, config, store) -> dict:
 
 def _eval_rag(args, config, store) -> dict:
     featurize = _featurizer(store, config)
-    labels = load_labels(args.labels)
-    query_ids = _read_id_list(args.queries)
-    gallery = [id for id in store.ids() if id in labels and id not in set(query_ids)]
-    gallery_labels = {id: labels[id] for id in gallery}
-    index = build_index(np.stack([featurize(id) for id in gallery]), gallery)
-    queries = {q: featurize(q) for q in query_ids}
-    query_labels = {q: labels[q] for q in query_ids}
+    index, queries, labels = _gallery_and_queries(featurize, store.ids(), args.labels, args.queries)
+    gallery_labels = {id: labels[id] for id in index.ids}
+    query_labels = {q: labels[q] for q in queries}
     result = evaluate_rag(index, gallery_labels, queries, query_labels, k=config["k"])
     bundles_path = Path(args.out) / "bundles.json"
     bundles_path.parent.mkdir(parents=True, exist_ok=True)
     bundles_path.write_text(
         json.dumps([b.to_dict() for b in result["bundles"]], indent=2, sort_keys=True) + "\n"
     )
-    return {"accuracy": result["accuracy"], "n_queries": len(query_ids), "k": config["k"]}
+    return {"accuracy": result["accuracy"], "n_queries": len(queries), "k": config["k"]}
 
 
 _EVAL_RUNNERS = {
     "retrieval": _eval_retrieval,
     "count": _eval_count,
-    "seg": _eval_seg,
-    "depth": _eval_depth,
+    "seg": _eval_dense,
+    "depth": _eval_dense,
     "probe": _eval_probe,
     "rag": _eval_rag,
 }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, config) -> int:
     t0 = time.time()
-    config = _resolve(args, _EVAL_DEFAULTS)
     store = load_store(args.store)
     metrics = _EVAL_RUNNERS[args.task](args, config, store)
     _write_report(Path(args.out), f"eval.{args.task}", config, metrics, t0)
@@ -494,43 +537,20 @@ def cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-_ABLATE_DEFAULTS = dict(
-    budget=13_900,
-    steps=None,
-    tasks="retrieval",
-    ks="1,3,5",
-    margin=0.05,
-    lr=3e-4,
-    batch=16,
-    epochs=8,
-    feature_mode="cls",
-    seed=0,
-    lora_rank=16,
-    lora_alpha=0.5,
-    lora_dropout=0.0,
-    val_frac=0.1,
-    threads=None,
-    csv=False,
-)
-
 
 def _ablate_eval(task, backbone, args, config) -> dict:
     mode = _MODES[config["feature_mode"]]
     if task == "retrieval":
         if not args.eval_labels or not args.eval_queries:
             raise DataError("retrieval task needs --eval-labels and --eval-queries")
-        labels = load_labels(args.eval_labels)
-        query_ids = _read_id_list(args.eval_queries)
-        gallery = [
-            id for id in backbone.store.ids() if id in labels and id not in set(query_ids)
-        ]
-        index = build_index(
-            np.stack([backbone.feature_np(id, mode) for id in gallery]), gallery
+        report = _recall(
+            lambda id: backbone.feature_np(id, mode),
+            backbone.store.ids(),
+            args.eval_labels,
+            args.eval_queries,
+            config["ks"],
         )
-        queries = {q: backbone.feature_np(q, mode) for q in query_ids}
-        truth = {q: {g for g in gallery if labels[g] == labels[q]} for q in query_ids}
-        report = recall_at_k(index, queries, truth, ks=_parse_int_list(config["ks"]))
-        return report.to_dict()["recall"]
+        return report["recall"]
     if task == "afc":
         if not args.eval_manifest:
             raise DataError("afc task needs --eval-manifest")
@@ -539,9 +559,8 @@ def _ablate_eval(task, backbone, args, config) -> dict:
     raise DataError(f"unsupported ablation task {task!r} (use retrieval, afc)")
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, config) -> int:
     t0 = time.time()
-    config = _resolve(args, _ABLATE_DEFAULTS)
     out = Path(args.out)
     datasets = []
     for spec in args.dataset:
@@ -550,8 +569,8 @@ def cmd_ablate(args) -> int:
         name, paths = spec.split("=", 1)
         store_path, manifest_path = paths.split(":", 1)
         datasets.append((name, store_path, manifest_path))
-    tasks = [t for t in str(config["tasks"]).split(",") if t]
-    step_counts = _parse_int_list(config["steps"]) if config["steps"] else [None]
+    tasks = [t for t in config["tasks"].split(",") if t]
+    step_counts = _ints(config["steps"]) if config["steps"] else [None]
     eval_store = load_store(args.eval_store) if args.eval_store else None
 
     rows = []
@@ -565,40 +584,15 @@ def cmd_ablate(args) -> int:
         rng = np.random.default_rng(config["seed"])
         picks = rng.permutation(len(manifest))[: config["budget"]]
         budgeted = TripletManifest(entries=[manifest.entries[i] for i in picks])
-        frac = config["val_frac"]
-        if not 0.0 < frac < 0.5:
-            raise DataError(f"--val-frac must be in (0, 0.5), got {frac}")
-        train, val, _ = split_manifest(budgeted, (1.0 - 2 * frac, frac, frac), seed=config["seed"])
+        train, val = _split(budgeted, config)
         for steps in step_counts:
-            cfg = AlignmentConfig(
-                margin=config["margin"],
-                lr=config["lr"],
-                batch_size=config["batch"],
-                epochs=config["epochs"],
-                feature_mode=_MODES[config["feature_mode"]],
-                seed=config["seed"],
-                lora_rank=config["lora_rank"],
-                lora_alpha=config["lora_alpha"],
-                lora_dropout=config["lora_dropout"],
-                max_steps=steps,
+            backbone = _backbone_for(store, config)
+            snapshot, _ = train_alignment(
+                _align_config({**config, "max_steps": steps}), backbone, train, val
             )
-            backbone = StoreBackbone(
-                store,
-                rank=config["lora_rank"],
-                alpha=config["lora_alpha"],
-                dropout_p=config["lora_dropout"],
-                seed=config["seed"],
-            )
-            snapshot, _ = train_alignment(cfg, backbone, train, val)
             target = backbone
             if eval_store is not None:
-                target = StoreBackbone(
-                    eval_store,
-                    rank=config["lora_rank"],
-                    alpha=config["lora_alpha"],
-                    dropout_p=config["lora_dropout"],
-                    seed=config["seed"],
-                )
+                target = _backbone_for(eval_store, config)
                 target.load_trainable(snapshot)
             row = {"dataset": name, "steps": steps if steps is not None else "full"}
             for task in tasks:
@@ -613,17 +607,22 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """--out, --config and one flag per declared option; every flag defaults
+    to None so that _resolve can tell a flag given from one left out."""
     p.add_argument("--out", required=True, help="output directory for artifacts and report")
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=_env_threads(), help="worker cap (informational)")
-    p.add_argument("--csv", action="store_const", const=True, help="also write metrics.csv")
-
-
-def _env_threads():
-    raw = os.environ.get("PALN_THREADS")
-    return int(raw) if raw else None
+    for opt in OPTIONS[command]:
+        if opt.parse is boolean:
+            p.add_argument(opt.flag, dest=opt.name, action="store_const", const=True, help=opt.help)
+        else:
+            p.add_argument(
+                opt.flag,
+                dest=opt.name,
+                type=opt.parse,
+                choices=opt.choices or None,
+                help=f"{opt.help} (default: {opt.default})",
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,85 +633,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic triplet world")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="number of triplets")
-    p.add_argument("--d", type=int, help="embedding dimension")
-    p.add_argument("--s", type=int, help="patch grid side (0 = none)")
-    p.add_argument("--factors", type=int, help="latent factor count")
-    p.add_argument("--noise", type=float, help="embedding noise (relative)")
-    p.add_argument("--instances", type=int, help="held-out retrieval instances")
+    _add_options(p, "synth")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("align", help="train alignment adapters on triplets")
-    _add_common(p)
+    _add_options(p, "align")
     p.add_argument("--store", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--val-manifest", dest="val_manifest")
-    p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--feature-mode", dest="feature_mode", choices=("cls", "patch"))
-    p.add_argument("--lora-rank", dest="lora_rank", type=int)
-    p.add_argument("--lora-alpha", dest="lora_alpha", type=float)
-    p.add_argument("--lora-dropout", dest="lora_dropout", type=float)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("eval", help="run one evaluation protocol")
     p.add_argument("task", choices=sorted(_EVAL_RUNNERS))
-    _add_common(p)
+    _add_options(p, "eval")
     p.add_argument("--store", required=True)
-    p.add_argument("--adapters", help="adapter checkpoint to apply")
     p.add_argument("--labels", help="id,label CSV (retrieval/probe/rag)")
     p.add_argument("--queries", help="text file with one query id per line")
     p.add_argument("--train-labels", dest="train_labels", help="count labels for the train split")
     p.add_argument("--test-labels", dest="test_labels", help="count labels for the test split")
     p.add_argument("--targets", help="directory of <id>.palt dense targets")
-    p.add_argument("--feature-mode", dest="feature_mode", choices=("cls", "patch"))
-    p.add_argument("--ks", help="comma-separated k values")
-    p.add_argument("--k", type=int, help="examples per RAG bundle")
-    p.add_argument("--c-grid", dest="c_grid", help="comma-separated inverse regularization grid")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--depth-range", dest="depth_range", help="d_min,d_max in meters")
-    p.add_argument("--silog-sign", dest="silog_sign", choices=("paper", "classic"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lora-rank", dest="lora_rank", type=int)
-    p.add_argument("--lora-alpha", dest="lora_alpha", type=float)
-    p.add_argument("--lora-dropout", dest="lora_dropout", type=float)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="compare adapters trained on different datasets")
-    _add_common(p)
+    _add_options(p, "ablate")
     p.add_argument(
         "--dataset",
         action="append",
         required=True,
         help="name=STORE:MANIFEST (repeatable)",
     )
-    p.add_argument("--tasks", help="comma-separated tasks: retrieval, afc")
-    p.add_argument("--budget", type=int, help="triplet budget per dataset")
-    p.add_argument("--steps", help="comma-separated step counts to ablate")
     p.add_argument("--eval-store", dest="eval_store")
     p.add_argument("--eval-labels", dest="eval_labels")
     p.add_argument("--eval-queries", dest="eval_queries")
     p.add_argument("--eval-manifest", dest="eval_manifest")
-    p.add_argument("--ks", help="comma-separated k values")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--feature-mode", dest="feature_mode", choices=("cls", "patch"))
-    p.add_argument("--lora-rank", dest="lora_rank", type=int)
-    p.add_argument("--lora-alpha", dest="lora_alpha", type=float)
-    p.add_argument("--lora-dropout", dest="lora_dropout", type=float)
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -722,7 +675,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (PalignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,8 @@ def load_target(path) -> tuple[DenseTarget, str]:
     if len(blob) < 13:
         raise FormatError("truncated target header")
     h, w, kind_byte = struct.unpack("<IIB", blob[4:13])
+    if kind_byte not in (_KIND_SEG, _KIND_DEPTH):
+        raise FormatError(f"unknown target kind byte {kind_byte}")
     n = h * w
     item = 2 if kind_byte == _KIND_SEG else 4
     mask_bytes = (n + 7) // 8
@@ -95,11 +97,9 @@ def load_target(path) -> tuple[DenseTarget, str]:
     if kind_byte == _KIND_SEG:
         values = np.frombuffer(payload, dtype="<u2").astype(np.int64).reshape(h, w)
         kind = "seg"
-    elif kind_byte == _KIND_DEPTH:
+    else:
         values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w)
         kind = "depth"
-    else:
-        raise FormatError(f"unknown target kind byte {kind_byte}")
     mask = np.unpackbits(np.frombuffer(blob[13 + n * item :], dtype=np.uint8))[:n]
     return DenseTarget(values=values, valid_mask=mask.astype(bool).reshape(h, w)), kind
 

@@ -375,6 +375,16 @@ class TestTrainAlignment:
         assert history[0]["val_loss"] == frozen_loss
         assert history[0]["val_2afc"] == frozen_acc
 
+    def test_val_pass_featurizes_each_id_once(self):
+        store, train, val = self.world(n=60)
+        bb = StoreBackbone(store, rank=4, seed=0)
+        calls = []
+        feature_np = bb.feature_np
+        bb.feature_np = lambda id, mode: calls.append(id) or feature_np(id, mode)
+        train_alignment(AlignmentConfig(epochs=1, seed=3), bb, train, val)
+        val_ids = sorted({id for e in val for id in (e.ref, e.x0, e.x1)})
+        assert sorted(calls) == sorted(val_ids * 2)  # the passes at epochs 0 and 1
+
     def test_best_checkpoint_is_min_val_loss(self):
         store, train, val = self.world(n=120, seed=5)
         bb = StoreBackbone(store, rank=8, seed=2)

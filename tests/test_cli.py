@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from palign import cli
 from palign.cli import main
 from palign.data import load_labels, load_manifest, load_store, make_class_triplets, save_manifest
 
@@ -288,3 +289,145 @@ class TestAblate:
         assert code == 0
         rows = report_of(out)["metrics"]["rows"]
         assert [r["steps"] for r in rows] == [3, 6]
+
+
+def run_captured(capsys, *argv) -> tuple[int, str]:
+    """Exit code and stderr of one command; argparse usage errors exit via SystemExit."""
+    try:
+        code = run(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+# required non-option arguments per command; parsing does not open the files
+BASE_ARGV = {
+    "synth": ["synth", "--out", "o"],
+    "align": ["align", "--out", "o", "--store", "s.paln", "--manifest", "m.csv"],
+    "eval": ["eval", "retrieval", "--out", "o", "--store", "s.paln"],
+    "ablate": ["ablate", "--out", "o", "--dataset", "a=s.paln:m.csv"],
+}
+SAMPLE_TEXT = {
+    int: "7",
+    float: "0.375",
+    str: "x",
+    cli.int_list: "2,4",
+    cli.float_list: "0.5,2",
+    cli.float_pair: "0.5,20",
+    cli.boolean: "true",
+}
+
+
+def resolved(argv) -> dict:
+    return cli._resolve(cli.build_parser().parse_args([str(a) for a in argv]))
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(command, opt) for command, options in cli.OPTIONS.items() for opt in options],
+    ids=lambda x: x if isinstance(x, str) else x.name,
+)
+def test_config_file_value_resolves_like_its_flag(command, option, tmp_path):
+    text = option.choices[-1] if option.choices else SAMPLE_TEXT[option.parse]
+    flag = [option.flag] if option.parse is cli.boolean else [option.flag, text]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option.name}={text}\n")
+    from_flag = resolved(BASE_ARGV[command] + flag)
+    from_file = resolved(BASE_ARGV[command] + ["--config", cfg])
+    assert from_flag[option.name] != option.default
+    assert json.dumps(from_file, sort_keys=True) == json.dumps(from_flag, sort_keys=True)
+
+
+def test_max_steps_from_config_file_runs_like_flag(world_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_steps=3\n")
+    outs = {}
+    for name, extra in (("file", ["--config", cfg]), ("flag", ["--max-steps", 3])):
+        outs[name] = tmp_path / name
+        assert run(
+            "align", "--store", world_dir / "store.paln",
+            "--manifest", world_dir / "triplets.csv",
+            "--out", outs[name], "--epochs", 1, "--seed", 1, *extra,
+        ) == 0
+    config = (outs["file"] / "resolved_config.json").read_bytes()
+    assert config == (outs["flag"] / "resolved_config.json").read_bytes()
+    assert report_of(outs["file"])["config"]["max_steps"] == 3
+
+
+@pytest.mark.parametrize(
+    "case,lines,extra,expected",
+    [
+        ("config epochs", "epochs=abc", [], 1),
+        ("config csv", "csv=maybe", [], 1),
+        ("config choice", "feature_mode=grid", [], 1),
+        ("config threads", "threads=4", [], 1),
+        ("config binary", b"\xff\xfe=\x00", [], 1),
+        ("flag epochs", "", ["--epochs", "abc"], 2),
+        ("flag threads", "", ["--threads", 4], 2),
+    ],
+)
+def test_bad_align_settings_fail_clean(world_dir, tmp_path, capsys, case, lines, extra, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(lines if isinstance(lines, bytes) else (lines + "\n").encode())
+    code, err = run_captured(
+        capsys, "align", "--store", world_dir / "store.paln",
+        "--manifest", world_dir / "triplets.csv",
+        "--out", tmp_path / "o", "--config", cfg, *extra,
+    )
+    assert code == expected
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "task,extra",
+    [
+        ("retrieval", ["--ks", "a,b"]),
+        ("depth", ["--depth-range", "1,2,3"]),
+        ("probe", ["--c-grid", ","]),
+    ],
+)
+def test_bad_eval_flags_fail_clean(world_dir, tmp_path, capsys, task, extra):
+    code, err = run_captured(
+        capsys, "eval", task, "--store", world_dir / "store.paln",
+        "--out", tmp_path / "o", *extra,
+    )
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_unlabeled_query_fails_clean(world_dir, tmp_path, capsys):
+    # a stored record that the instance labels do not cover
+    unlabeled = load_manifest(world_dir / "triplets.csv").entries[0].ref
+    queries = tmp_path / "queries.txt"
+    queries.write_text((world_dir / "queries.txt").read_text() + f"{unlabeled}\n")
+    store = world_dir / "store.paln"
+    labels = world_dir / "instance_labels.csv"
+    commands = [
+        ["eval", task, "--store", store, "--labels", labels, "--queries", queries]
+        for task in ("retrieval", "rag")
+    ]
+    commands.append([
+        "ablate", "--dataset", f"mid={store}:{world_dir / 'triplets.csv'}",
+        "--tasks", "retrieval", "--budget", 50, "--epochs", 1, "--steps", 1,
+        "--eval-labels", labels, "--eval-queries", queries,
+    ])
+    for i, argv in enumerate(commands):
+        code, err = run_captured(capsys, *argv, "--out", tmp_path / f"o{i}")
+        assert code == 1, argv[:2]
+        assert f"error: query {unlabeled!r} has no label" in err
+        assert "Traceback" not in err
+
+
+def test_empty_gallery_fails_clean(world_dir, tmp_path, capsys):
+    labels = world_dir / "instance_labels.csv"
+    queries = tmp_path / "queries.txt"
+    queries.write_text("".join(f"{id}\n" for id in load_labels(labels)))
+    code, err = run_captured(
+        capsys, "eval", "retrieval", "--store", world_dir / "store.paln",
+        "--labels", labels, "--queries", queries, "--out", tmp_path / "o",
+    )
+    assert code == 1
+    assert "error: no labeled gallery ids" in err
+    assert "Traceback" not in err

@@ -463,6 +463,17 @@ class TestTargetSidecar:
         with pytest.raises(FormatError, match="magic"):
             load_target(path)
 
+    def test_unknown_kind_byte(self, tmp_path):
+        target = DenseTarget(values=np.zeros((4, 4), dtype=np.int64),
+                             valid_mask=np.ones((4, 4), dtype=bool))
+        path = tmp_path / "t.palt"
+        save_target(target, path, "seg")
+        blob = bytearray(path.read_bytes())
+        blob[12] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unknown target kind"):
+            load_target(path)
+
     def test_truncation(self, tmp_path):
         target = DenseTarget(values=np.zeros((4, 4), dtype=np.int64),
                              valid_mask=np.ones((4, 4), dtype=bool))
