@@ -3,8 +3,10 @@
 Two interchangeable backbones feed the alignment trainer:
 
 * ``StoreBackbone``: a frozen lookup over precomputed embeddings, made
-  trainable by a LoRA-adapted identity projection applied per token. At
-  zero adapter initialization it reproduces the stored features exactly.
+  trainable by a LoRA-adapted identity projection applied per token. The
+  projection is applied in low-rank form, x + (alpha/r) * B @ (A @ x), so
+  the d x d weight is never formed. At zero adapter initialization it
+  reproduces the stored features exactly.
 * ``ToyEncoderBackbone``: a tiny patch transformer whose q/v projections
   carry LoRA adapters, so end-to-end gradients through attention are
   exercised. Record patch grids are treated as the raw encoder input.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import _GELU_C, Tensor, concat, gelu, layer_norm, softmax
-from .data import EmbeddingStore
+from .data import BoundedReader, EmbeddingStore
 from .errors import DataError, FormatError
 
 ADAPTER_MAGIC = b"PALA"
@@ -108,7 +110,7 @@ def assemble_features(bundle: FeatureBundle, mode: FeatureMode) -> np.ndarray:
     if mode is FeatureMode.CLS_ONLY:
         return np.array(bundle.cls, dtype=np.float64)
     if bundle.patch is None:
-        raise DataError("feature mode needs patch tokens but the bundle has none")
+        raise DataError("feature mode needs patch tokens but the record has none")
     pooled = bundle.patch.astype(np.float64).mean(axis=(0, 1))
     return np.concatenate([np.asarray(bundle.cls, dtype=np.float64), pooled])
 
@@ -137,31 +139,19 @@ def save_adapters(named: dict[str, np.ndarray], path) -> int:
 
 
 def load_adapters(path) -> dict[str, np.ndarray]:
-    def read_exact(f, n, what):
-        data = f.read(n)
-        if len(data) != n:
-            raise FormatError(f"truncated adapter file while reading {what}")
-        return data
-
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != ADAPTER_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {ADAPTER_MAGIC!r}")
-        version, count = struct.unpack("<IQ", read_exact(f, 12, "header"))
-        if version != ADAPTER_VERSION:
-            raise FormatError(f"unsupported adapter version {version}")
+        reader = BoundedReader(f, "adapter", ADAPTER_MAGIC, ADAPTER_VERSION)
+        (count,) = reader.unpack("<Q", "header")
         named: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", read_exact(f, 4, "name length"))
-            name = read_exact(f, name_len, "name").decode("utf-8")
-            rows, cols = struct.unpack("<II", read_exact(f, 8, f"shape of {name!r}"))
-            data = np.frombuffer(
-                read_exact(f, 4 * rows * cols, f"data of {name!r}"), dtype="<f4"
-            )
+            (name_len,) = reader.unpack("<I", "name length")
+            name = reader.text(name_len, "name")
+            rows, cols = reader.unpack("<II", f"shape of {name!r}")
+            data = np.frombuffer(reader.read(4 * rows * cols, f"data of {name!r}"), dtype="<f4")
             if not np.all(np.isfinite(data)):
                 raise DataError(f"non-finite values in adapter matrix {name!r}")
             named[name] = data.astype(np.float64).reshape(rows, cols)
-        if f.read(1):
+        if reader.left:
             raise FormatError("trailing bytes after final matrix")
     return named
 
@@ -174,17 +164,43 @@ def _dropped(a: Tensor, p: float, rng) -> Tensor:
     return a * Tensor(mask[None, :])
 
 
+def _lora_apply(rows, a, b, scale: float):
+    """Each row x of `rows` mapped to x + scale * B @ (A @ x), without forming
+    the d x d weight; accepts numpy arrays or autodiff tensors."""
+    return rows + scale * ((rows @ a.T) @ b.T)
+
+
+class _Trainable:
+    """Snapshot and restore of a backbone's `trainable` adapter matrices."""
+
+    trainable: dict[str, np.ndarray]
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self.trainable.items()}
+
+    def load_trainable(self, named: dict[str, np.ndarray]) -> None:
+        for key, value in self.trainable.items():
+            if key not in named:
+                raise DataError(f"missing adapter matrix {key!r}")
+            if named[key].shape != value.shape:
+                raise DataError(
+                    f"adapter matrix {key!r}: shape {named[key].shape} != {value.shape}"
+                )
+            value[...] = named[key]
+
+
 # ---------------------------------------------------------------------------
 # store-backed backbone: frozen lookup + LoRA-on-identity projection
 # ---------------------------------------------------------------------------
 
 
-class StoreBackbone:
+class StoreBackbone(_Trainable):
     """Precomputed embeddings with a trainable low-rank projection on top.
 
     The projection W = I + (alpha/rank) * B @ A is shared across the CLS
     vector and every patch token, mirroring how adapter-tuning a real
-    encoder moves all tokens through the same adapted weights.
+    encoder moves all tokens through the same adapted weights. W is applied
+    in low-rank form by `_lora_apply` and never formed.
     """
 
     def __init__(
@@ -205,48 +221,26 @@ class StoreBackbone:
     def trainable(self) -> dict[str, np.ndarray]:
         return {"proj.a": self.adapter.a, "proj.b": self.adapter.b}
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.trainable.items()}
+    def _rows(self, id: str, mode: FeatureMode) -> np.ndarray:
+        """The (1, d) CLS row, or the (2, d) CLS and pooled-patch rows."""
+        bundle = lookup_features(self.store, id)
+        return assemble_features(bundle, mode).reshape(-1, self.store.dim)
 
-    def load_trainable(self, named: dict[str, np.ndarray]) -> None:
-        for key, value in self.trainable.items():
-            if key not in named:
-                raise DataError(f"missing adapter matrix {key!r}")
-            if named[key].shape != value.shape:
-                raise DataError(
-                    f"adapter matrix {key!r}: shape {named[key].shape} != {value.shape}"
-                )
-            value[...] = named[key]
-
-    def _bundle(self, id: str) -> FeatureBundle:
-        return lookup_features(self.store, id)
+    def adapt(self, x: np.ndarray) -> np.ndarray:
+        """The adapted projection applied along x's last axis; the exact
+        identity while B is zero."""
+        return _lora_apply(x, self.adapter.a, self.adapter.b, self.adapter.scale)
 
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
-        w = np.eye(self.store.dim) + self.adapter.delta()
-        bundle = self._bundle(id)
-        cls = w @ bundle.cls
-        if mode is FeatureMode.CLS_ONLY:
-            return cls
-        if bundle.patch is None:
-            raise DataError("feature mode needs patch tokens but the store has s=0")
-        pooled = w @ bundle.patch.mean(axis=(0, 1))
-        return np.concatenate([cls, pooled])
+        return self.adapt(self._rows(id, mode)).reshape(-1)
 
     def feature_graph(
         self, id: str, mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
     ) -> Tensor:
-        a, b = leaves["proj.a"], leaves["proj.b"]
-        a = _dropped(a, self.adapter.dropout_p, dropout_rng)
-        w = Tensor(np.eye(self.store.dim)) + self.adapter.scale * (b @ a)
-        bundle = self._bundle(id)
-        cls = (w @ Tensor(bundle.cls.reshape(-1, 1))).reshape(-1)
-        if mode is FeatureMode.CLS_ONLY:
-            return cls
-        if bundle.patch is None:
-            raise DataError("feature mode needs patch tokens but the store has s=0")
-        pooled_in = bundle.patch.mean(axis=(0, 1)).reshape(-1, 1)
-        pooled = (w @ Tensor(pooled_in)).reshape(-1)
-        return concat([cls, pooled])
+        # one dropout mask per id, shared by the CLS and pooled rows
+        a = _dropped(leaves["proj.a"], self.adapter.dropout_p, dropout_rng)
+        rows = Tensor(self._rows(id, mode))
+        return _lora_apply(rows, a, leaves["proj.b"], self.adapter.scale).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +429,7 @@ def encode(params: ToyEncoderParams, x: np.ndarray) -> FeatureBundle:
     return ToyEncoder(params).forward_np(np.asarray(x, dtype=np.float64))
 
 
-class ToyEncoderBackbone:
+class ToyEncoderBackbone(_Trainable):
     """Trainer-facing wrapper: store records are raw encoder inputs."""
 
     def __init__(self, store: EmbeddingStore, params: ToyEncoderParams):
@@ -459,20 +453,6 @@ class ToyEncoderBackbone:
             out[f"{name}.b"] = adapter.b
         return out
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.trainable.items()}
-
-    def load_trainable(self, named: dict[str, np.ndarray]) -> None:
-        live = self.trainable
-        for key, value in live.items():
-            if key not in named:
-                raise DataError(f"missing adapter matrix {key!r}")
-            if named[key].shape != value.shape:
-                raise DataError(
-                    f"adapter matrix {key!r}: shape {named[key].shape} != {value.shape}"
-                )
-            value[...] = named[key]
-
     def _input(self, id: str) -> np.ndarray:
         rec = self.store[id]
         if rec.patch is None:
@@ -482,15 +462,6 @@ class ToyEncoderBackbone:
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
         bundle = self.encoder.forward_np(self._input(id))
         return assemble_features(bundle, mode)
-
-    def features_np_batch(self, ids: list[str], mode: FeatureMode) -> np.ndarray:
-        """(len(ids), feat_dim) matrix via one vectorized forward pass."""
-        xs = np.stack([self._input(id) for id in ids])
-        cls, patch = self.encoder.forward_np_batch(xs)
-        if mode is FeatureMode.CLS_ONLY:
-            return cls
-        pooled = patch.mean(axis=(1, 2))
-        return np.concatenate([cls, pooled], axis=1)
 
     def feature_graph(
         self, id: str, mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None

@@ -422,9 +422,7 @@ def _dense_inputs(args, config, store):
     if store.patch_side == 0:
         raise DataError("dense evaluation needs a store with patch grids (s > 0)")
     target_dir = Path(args.targets)
-    adapters = None
-    if config["adapters"]:
-        adapters = np.eye(store.dim) + _backbone_for(store, config).adapter.delta()
+    backbone = _backbone_for(store, config)
     features, targets, kinds = [], [], set()
     for id in store.ids():
         path = target_dir / f"{id}.palt"
@@ -432,10 +430,7 @@ def _dense_inputs(args, config, store):
             continue
         target, kind = load_target(path)
         kinds.add(kind)
-        grid = store[id].patch.astype(np.float64)
-        if adapters is not None:
-            grid = grid @ adapters.T
-        features.append(grid)
+        features.append(backbone.adapt(store[id].patch.astype(np.float64)))
         targets.append(target)
     if not features:
         raise DataError(f"no <id>.palt targets found in {target_dir}")
@@ -515,20 +510,25 @@ def _eval_rag(args, config, store) -> dict:
     return {"accuracy": result["accuracy"], "n_queries": len(queries), "k": config["k"]}
 
 
+# each task's runner and the input flags it cannot run without
 _EVAL_RUNNERS = {
-    "retrieval": _eval_retrieval,
-    "count": _eval_count,
-    "seg": _eval_dense,
-    "depth": _eval_dense,
-    "probe": _eval_probe,
-    "rag": _eval_rag,
+    "retrieval": (_eval_retrieval, ("labels", "queries")),
+    "count": (_eval_count, ("train_labels", "test_labels")),
+    "seg": (_eval_dense, ("targets",)),
+    "depth": (_eval_dense, ("targets",)),
+    "probe": (_eval_probe, ("labels",)),
+    "rag": (_eval_rag, ("labels", "queries")),
 }
 
 
 def cmd_eval(args, config) -> int:
     t0 = time.time()
+    runner, inputs = _EVAL_RUNNERS[args.task]
+    missing = ["--" + name.replace("_", "-") for name in inputs if getattr(args, name) is None]
+    if missing:
+        raise DataError(f"eval {args.task} needs {' and '.join(missing)}")
     store = load_store(args.store)
-    metrics = _EVAL_RUNNERS[args.task](args, config, store)
+    metrics = runner(args, config, store)
     _write_report(Path(args.out), f"eval.{args.task}", config, metrics, t0)
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -186,34 +187,58 @@ def save_store(store: EmbeddingStore, path) -> int:
     return len(payload)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated store file while reading {what}")
-    return data
+class BoundedReader:
+    """Reads a binary file that opens with a magic and a u32 version.
+
+    Each size a header declares is checked against the bytes left before it
+    is read, so a lying header fails as FormatError; text must be UTF-8.
+    """
+
+    def __init__(self, f, kind: str, magic: bytes, version: int):
+        got = f.read(len(magic))
+        if got != magic:
+            raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+        self.f, self.kind = f, kind
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            raise FormatError(f"unsupported {kind} version {found}")
+
+    def read(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise FormatError(
+                f"truncated {self.kind} file while reading {what} ({n} > {self.left} bytes left)"
+            )
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.read(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.kind} file: {what} is not UTF-8 ({exc})") from None
 
 
 def load_store(path) -> EmbeddingStore:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != STORE_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {STORE_MAGIC!r}")
-        version, dim, side, count = struct.unpack("<IIIQ", _read_exact(f, 20, "header"))
-        if version != STORE_VERSION:
-            raise FormatError(f"unsupported store version {version}")
+        reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
+        dim, side, count = reader.unpack("<IIQ", "header")
         store = EmbeddingStore(dim, side)
         for _ in range(count):
-            (id_len,) = struct.unpack("<I", _read_exact(f, 4, "id length"))
-            id = _read_exact(f, id_len, "id").decode("utf-8")
-            cls = np.frombuffer(_read_exact(f, 4 * dim, f"cls of {id!r}"), dtype="<f4").copy()
+            (id_len,) = reader.unpack("<I", "id length")
+            id = reader.text(id_len, "id")
+            cls = np.frombuffer(reader.read(4 * dim, f"cls of {id!r}"), dtype="<f4").copy()
             patch = None
             if side > 0:
                 n = side * side * dim
                 patch = np.frombuffer(
-                    _read_exact(f, 4 * n, f"patch of {id!r}"), dtype="<f4"
+                    reader.read(4 * n, f"patch of {id!r}"), dtype="<f4"
                 ).reshape(side, side, dim).copy()
             store.add(EmbeddingRecord(id=id, cls=cls, patch=patch))
-        if f.read(1):
+        if reader.left:
             raise FormatError("trailing bytes after final record")
     return store
 

@@ -428,6 +428,8 @@ def eval_seg(head: SegHead, features: list[np.ndarray], targets: list[DenseTarge
         pred = np.argmax(logits, axis=-1)
         mask = target.valid_mask.reshape(-1)
         truth = target.values.reshape(-1)[mask]
+        if truth.min() < 0 or truth.max() >= n_classes:
+            raise DataError(f"target class ids must lie in [0, {n_classes}), the head's classes")
         np.add.at(confusion, (truth, pred[mask]), 1)
     present = (confusion.sum(axis=1) + confusion.sum(axis=0)) > 0
     tp = np.diag(confusion)

@@ -94,10 +94,12 @@ def test_criterion_1_gradient_correctness():
     cfg = AlignmentConfig(margin=0.3, feature_mode=FeatureMode.CLS_PLUS_POOLED_PATCH)
 
     ids = [id for e in batch for id in (e.ref, e.x0, e.x1)]
+    xs = np.stack([store[id].patch for id in ids]).astype(np.float64)
 
     def loss_now():
-        mat = backbone.features_np_batch(ids, cfg.feature_mode)
-        feats = dict(zip(ids, mat))
+        # one vectorized forward over every id; CLS + pooled patch, as the mode asks
+        cls, patch = backbone.encoder.forward_np_batch(xs)
+        feats = dict(zip(ids, np.concatenate([cls, patch.mean(axis=(1, 2))], axis=1)))
         total = 0.0
         for e in batch:
             d0 = float(cosine_distance(feats[e.ref], feats[e.x0]))

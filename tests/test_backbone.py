@@ -1,8 +1,12 @@
 """Backbone features, LoRA math, the toy encoder, and adapter checkpoints."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from palign.alignment import AlignmentConfig, batch_loss_and_grads
 from palign.autodiff import Tensor
 from palign.backbone import (
     FeatureBundle,
@@ -20,7 +24,7 @@ from palign.backbone import (
     lora_effective_weight,
     save_adapters,
 )
-from palign.data import EmbeddingRecord, EmbeddingStore
+from palign.data import EmbeddingRecord, EmbeddingStore, TripletEntry
 from palign.errors import DataError, FormatError
 
 
@@ -213,6 +217,13 @@ class TestToyEncoder:
             encode(params, np.zeros((3, 3, 3)))
 
 
+def dense_oracle(store, adapter, id, mode):
+    """Features through the d x d adapted weight I + (alpha/r) * B @ A."""
+    w = lora_effective_weight(np.eye(store.dim), adapter)
+    rows = assemble_features(lookup_features(store, id), mode).reshape(-1, store.dim)
+    return (rows @ w.T).reshape(-1)
+
+
 class TestStoreBackbone:
     def test_zero_init_reproduces_lookup(self):
         store = make_store(d=6, s=2)
@@ -222,14 +233,63 @@ class TestStoreBackbone:
         np.testing.assert_allclose(feat, expected, rtol=1e-12)
 
     def test_graph_matches_numpy(self):
-        store = make_store(d=5, s=2, seed=2)
-        bb = StoreBackbone(store, rank=2, alpha=1.0, seed=3)
+        # one op order on both paths, and both equal the dense oracle
+        store = make_store(d=6, s=2, seed=2)
+        bb = StoreBackbone(store, rank=3, alpha=0.7, seed=3)
         rng = np.random.default_rng(4)
         bb.adapter.b[...] = rng.normal(size=bb.adapter.b.shape)
         leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
         for mode in FeatureMode:
-            g = bb.feature_graph("img0", mode, leaves)
-            np.testing.assert_allclose(g.data, bb.feature_np("img0", mode), rtol=1e-12)
+            for id in store.ids():
+                feat = bb.feature_np(id, mode)
+                np.testing.assert_array_equal(bb.feature_graph(id, mode, leaves).data, feat)
+                expected = dense_oracle(store, bb.adapter, id, mode)
+                np.testing.assert_allclose(feat, expected, rtol=1e-12)
+
+    def test_dropout_masks_a_once_per_id(self):
+        # one mask over input dims per id, shared by the CLS and pooled rows
+        p, d = 0.3, 6
+        store = make_store(d=d, s=2, seed=8)
+        bb = StoreBackbone(store, rank=3, alpha=0.5, dropout_p=p, seed=9)
+        bb.adapter.b[...] = np.random.default_rng(10).normal(size=bb.adapter.b.shape)
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        dropped = 0
+        for id in store.ids():
+            got = bb.feature_graph(id, FeatureMode.CLS_PLUS_POOLED_PATCH, leaves, rng).data
+            mask = (oracle_rng.random(d) >= p) / (1.0 - p)
+            dropped += int((mask == 0).sum())
+            masked = LoraAdapter(a=bb.adapter.a * mask, b=bb.adapter.b, rank=3, alpha=0.5)
+            expected = dense_oracle(store, masked, id, FeatureMode.CLS_PLUS_POOLED_PATCH)
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+        assert dropped > 0
+
+    def test_adapt_applies_the_adapted_weight_per_token(self):
+        store = make_store(d=5, s=3, seed=14)
+        bb = StoreBackbone(store, rank=2, seed=15)
+        grid = store["img0"].patch.astype(np.float64)
+        np.testing.assert_array_equal(bb.adapt(grid), grid)  # B = 0: exact identity
+        bb.adapter.b[...] = np.random.default_rng(16).normal(size=bb.adapter.b.shape)
+        w = lora_effective_weight(np.eye(5), bb.adapter)
+        np.testing.assert_allclose(bb.adapt(grid), grid @ w.T, rtol=1e-12)
+
+    def test_step_memory_below_one_dense_weight(self):
+        # a 16-triplet step at d=768 never holds a d x d float64 matrix
+        d = 768
+        store = make_store(d=d, n=48, seed=12)
+        bb = StoreBackbone(store, seed=13)
+        bb.adapter.b[...] = np.random.default_rng(14).normal(scale=0.1, size=bb.adapter.b.shape)
+        batch = [
+            TripletEntry(f"img{3 * i}", f"img{3 * i + 1}", f"img{3 * i + 2}", i % 2)
+            for i in range(16)
+        ]
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(bb, batch, AlignmentConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8
 
     def test_patch_mode_without_patches(self):
         store = make_store(d=4, s=0)
@@ -262,21 +322,6 @@ class TestToyEncoderBackbone:
         assert both.shape == (32,)
         np.testing.assert_array_equal(both[:16], cls)
 
-    def test_batched_features_match_single(self):
-        store = make_store(d=3, s=2, n=5, seed=9)
-        params = toy_params(seed=9)
-        rng = np.random.default_rng(10)
-        for adapter in params.adapters.values():
-            adapter.b[...] = rng.normal(scale=0.2, size=adapter.b.shape)
-        bb = ToyEncoderBackbone(store, params)
-        ids = store.ids()
-        for mode in FeatureMode:
-            batched = bb.features_np_batch(ids, mode)
-            for row, id in zip(batched, ids):
-                np.testing.assert_allclose(
-                    row, bb.feature_np(id, mode), rtol=1e-12, atol=1e-14
-                )
-
 
 class TestAdapterCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -304,6 +349,24 @@ class TestAdapterCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(FormatError, match="truncated"):
+            load_adapters(path)
+
+    def test_lying_shape_header(self, tmp_path):
+        path = tmp_path / "lie.pala"
+        save_adapters({"m": np.ones((2, 2))}, path)
+        raw = bytearray(path.read_bytes())
+        raw[21:29] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # rows, cols of "m"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            load_adapters(path)
+
+    def test_non_utf8_name(self, tmp_path):
+        path = tmp_path / "name.pala"
+        save_adapters({"mn": np.ones((1, 1))}, path)
+        raw = bytearray(path.read_bytes())
+        raw[20:22] = b"\xff\xfe"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
             load_adapters(path)
 
     def test_backbone_checkpoint_cycle(self, tmp_path):

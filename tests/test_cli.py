@@ -1,14 +1,25 @@
 """End-to-end command tests: files, determinism, presets, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from palign import cli
+from palign.backbone import save_adapters
 from palign.cli import main
-from palign.data import load_labels, load_manifest, load_store, make_class_triplets, save_manifest
+from palign.data import (
+    EmbeddingRecord,
+    EmbeddingStore,
+    load_labels,
+    load_manifest,
+    load_store,
+    make_class_triplets,
+    save_manifest,
+    save_store,
+)
 
 
 def run(*argv) -> int:
@@ -430,4 +441,62 @@ def test_empty_gallery_fails_clean(world_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "error: no labeled gallery ids" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "task,missing",
+    [
+        ("retrieval", "--labels and --queries"),
+        ("rag", "--labels and --queries"),
+        ("probe", "--labels"),
+        ("count", "--train-labels and --test-labels"),
+        ("seg", "--targets"),
+        ("depth", "--targets"),
+    ],
+)
+def test_eval_without_input_flags_fails_clean(world_dir, tmp_path, capsys, task, missing):
+    code, err = run_captured(
+        capsys, "eval", task, "--store", world_dir / "store.paln", "--out", tmp_path / "o"
+    )
+    assert code == 1
+    assert f"error: eval {task} needs {missing}" in err
+    assert "Traceback" not in err
+
+
+def _lying_adapters(path):
+    save_adapters({"proj.a": np.ones((2, 2))}, path)
+    raw = bytearray(path.read_bytes())
+    raw[26:34] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # rows, cols of "proj.a"
+    path.write_bytes(bytes(raw))
+
+
+def _non_utf8_store(path):
+    store = EmbeddingStore(2)
+    store.add(EmbeddingRecord(id="xy", cls=np.ones(2)))
+    save_store(store, path)
+    raw = bytearray(path.read_bytes())
+    raw[28:30] = b"\xff\xfe"  # the id bytes
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "case,expected",
+    [("lying .pala shape", "truncated adapter file"), ("non-UTF-8 .paln id", "not UTF-8")],
+)
+def test_bad_binary_files_fail_clean(world_dir, tmp_path, capsys, case, expected):
+    store, extra = world_dir / "store.paln", []
+    if case.endswith("shape"):
+        extra = ["--adapters", tmp_path / "bad.pala"]
+        _lying_adapters(tmp_path / "bad.pala")
+    else:
+        store = tmp_path / "bad.paln"
+        _non_utf8_store(store)
+    code, err = run_captured(
+        capsys, "eval", "retrieval", "--store", store,
+        "--labels", world_dir / "instance_labels.csv", "--queries", world_dir / "queries.txt",
+        "--out", tmp_path / "o", *extra,
+    )
+    assert code == 1
+    assert "error:" in err and expected in err
     assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Store/manifest round-trips, triplet construction, and the synthetic generator."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,26 @@ class TestStoreIO:
         save_store(store, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
+        with pytest.raises(FormatError, match="truncated"):
+            load_store(path)
+
+    def test_non_utf8_id_rejected(self, tmp_path):
+        store = EmbeddingStore(2)
+        store.add(EmbeddingRecord(id="xy", cls=np.ones(2)))
+        path = tmp_path / "id.paln"
+        save_store(store, path)
+        raw = bytearray(path.read_bytes())
+        raw[28:30] = b"\xff\xfe"  # the id bytes, after the 24-byte header and id length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_store(path)
+
+    def test_lying_id_length_rejected(self, tmp_path):
+        path = tmp_path / "len.paln"
+        save_store(small_store(), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="truncated"):
             load_store(path)
 

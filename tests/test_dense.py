@@ -329,6 +329,14 @@ class TestEvalSeg:
         metrics = eval_seg(head, feats, [full_mask(wrong)])
         assert metrics == {"miou": 0.0, "pixel_accuracy": 0.0}
 
+    def test_class_id_outside_head_rejected(self):
+        rng = np.random.default_rng(17)
+        head = SegHead(weight=rng.normal(size=(3, 4)), bias=np.zeros(3))
+        labels = np.zeros((2, 2), dtype=np.int64)
+        labels[1, 1] = 3
+        with pytest.raises(DataError, match="class ids"):
+            eval_seg(head, [rng.normal(size=(2, 2, 4))], [full_mask(labels)])
+
     def test_matches_confusion_matrix_oracle(self):
         rng = np.random.default_rng(16)
         n_classes, s, d = 3, 16, 6
