@@ -66,9 +66,6 @@ class AlignmentConfig:
     epochs: int = 8
     feature_mode: FeatureMode = FeatureMode.CLS_ONLY
     seed: int = 0
-    adam_beta1: float = ADAM_BETA1
-    adam_beta2: float = ADAM_BETA2
-    adam_eps: float = ADAM_EPS
     lora_rank: int = 16
     lora_alpha: float = 0.5
     lora_dropout: float = 0.0
@@ -83,6 +80,8 @@ class AlignmentConfig:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise DataError(f"epochs must be >= 0, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise DataError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass
@@ -118,9 +117,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> AdamState:
     """One bias-corrected Adam update, applied to params in place."""
     state.step += 1
@@ -134,13 +130,13 @@ def adam_step(
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * (g * g)
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -270,15 +266,7 @@ def train_alignment(
         for start in range(0, len(entries), config.batch_size):
             batch = [entries[i] for i in perm[start : start + config.batch_size]]
             loss, grads = batch_loss_and_grads(backbone, batch, config, dropout_rng)
-            adam_step(
-                backbone.trainable,
-                grads,
-                state.adam,
-                config.lr,
-                config.adam_beta1,
-                config.adam_beta2,
-                config.adam_eps,
-            )
+            adam_step(backbone.trainable, grads, state.adam, config.lr)
             epoch_loss_sum += loss * len(batch)
             epoch_count += len(batch)
             if config.max_steps is not None and state.step >= config.max_steps:

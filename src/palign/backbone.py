@@ -13,7 +13,9 @@ Two interchangeable backbones feed the alignment trainer:
 
 Every backbone exposes a plain-numpy featurization (used by evaluations and
 finite-difference oracles) and a graph featurization over autodiff tensors
-(used by training); both follow the same op order.
+(used by training). The store backbone's two paths share `_lora_apply`; the
+toy encoder has one forward pass, `ToyEncoder.forward_graph`, and its numpy
+path runs that pass on constant tensors.
 
 Adapter checkpoint file: magic ``PALA``, u32 version=1, u64 count, then per
 matrix u32 name_len, name bytes, u32 rows, u32 cols, rows*cols float32 LE.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import _GELU_C, Tensor, concat, gelu, layer_norm, softmax
+from .autodiff import Tensor, concat, gelu, layer_norm, softmax
 from .data import BoundedReader, EmbeddingStore
 from .errors import DataError, FormatError
 
@@ -72,6 +74,8 @@ class LoraAdapter:
     @classmethod
     def create(cls, d_in: int, d_out: int, rank: int, alpha: float, rng, dropout_p: float = 0.0):
         """B starts at zero so the adapted weight equals the frozen base."""
+        if rank < 1:
+            raise DataError(f"rank must be >= 1, got {rank}")
         return cls(
             a=rng.normal(scale=LORA_A_INIT_STD, size=(rank, d_in)),
             b=np.zeros((d_out, rank)),
@@ -323,29 +327,11 @@ class ToyEncoderParams:
         )
 
 
-def _np_layer_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + eps)
-
-
-def _np_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _np_gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
-
-
 class ToyEncoder:
-    """Small pre-norm ViT over an (s, s, d_in) input grid."""
+    """Small pre-norm ViT over a batch of (s, s, d_in) input grids."""
 
     def __init__(self, params: ToyEncoderParams):
         self.params = params
-
-    # ---- plain numpy path -------------------------------------------------
 
     def forward_np(self, x: np.ndarray) -> FeatureBundle:
         """One (s, s, d_in) input: the batch forward at b = 1."""
@@ -353,8 +339,20 @@ class ToyEncoder:
         return FeatureBundle(cls=cls[0], patch=patch[0])
 
     def forward_np_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized forward over a batch (b, s, s, d_in), checked against
-        forward_graph in tests. Returns (cls (b, d), patch (b, s, s, d))."""
+        """forward_graph with the current adapters as constants; returns
+        (cls (b, d), patch (b, s, s, d)) arrays."""
+        leaves = {}
+        for name, adapter in self.params.adapters.items():
+            leaves[f"{name}.a"] = Tensor(adapter.a)
+            leaves[f"{name}.b"] = Tensor(adapter.b)
+        cls, patch = self.forward_graph(np.asarray(xs), leaves)
+        return cls.data, patch.data
+
+    def forward_graph(
+        self, xs: np.ndarray, leaves: dict[str, Tensor], dropout_rng=None
+    ) -> tuple[Tensor, Tensor]:
+        """Forward over a batch (b, s, s, d_in) with adapter matrices taken
+        from `leaves`. Returns (cls (b, d), patch (b, s, s, d))."""
         p = self.params
         cfg = p.config
         b = xs.shape[0]
@@ -362,58 +360,24 @@ class ToyEncoder:
             raise DataError(f"input shape {xs.shape[1:]} != {(cfg.s, cfg.s, cfg.d_in)}")
         d, heads = cfg.d_model, cfg.n_heads
         dk = d // heads
-        tokens = xs.reshape(b, cfg.s * cfg.s, cfg.d_in).astype(np.float64) @ p.patch_embed
-        tokens = tokens + p.pos_embed
-        cls_rows = np.broadcast_to(p.cls_seed, (b, 1, d))
-        tokens = np.concatenate([cls_rows, tokens], axis=1)
-        n = tokens.shape[1]
-        for i, layer in enumerate(p.layers):
-            h = _np_layer_norm(tokens)
-            wq = lora_effective_weight(layer.wq, p.adapters[f"layer{i}.q"])
-            wv = lora_effective_weight(layer.wv, p.adapters[f"layer{i}.v"])
-            q = (h @ wq.T).reshape(b, n, heads, dk).transpose(0, 2, 1, 3)
-            k = (h @ layer.wk.T).reshape(b, n, heads, dk).transpose(0, 2, 1, 3)
-            v = (h @ wv.T).reshape(b, n, heads, dk).transpose(0, 2, 1, 3)
-            attn = _np_softmax((q @ k.transpose(0, 1, 3, 2)) * dk**-0.5)
-            mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-            tokens = tokens + mixed @ layer.wo.T
-            h2 = _np_layer_norm(tokens)
-            tokens = tokens + _np_gelu(h2 @ layer.w1.T) @ layer.w2.T
-        tokens = _np_layer_norm(tokens)
-        return tokens[:, 0], tokens[:, 1:].reshape(b, cfg.s, cfg.s, d)
-
-    # ---- autodiff path -----------------------------------------------------
-
-    def forward_graph(
-        self, x: np.ndarray, leaves: dict[str, Tensor], dropout_rng=None
-    ) -> tuple[Tensor, Tensor]:
-        """Same computation with adapter matrices taken from `leaves`."""
-        p = self.params
-        cfg = p.config
-        if x.shape != (cfg.s, cfg.s, cfg.d_in):
-            raise DataError(f"input shape {x.shape} != {(cfg.s, cfg.s, cfg.d_in)}")
-        d, heads = cfg.d_model, cfg.n_heads
-        dk = d // heads
-        tokens = Tensor(x.reshape(cfg.s * cfg.s, cfg.d_in)) @ Tensor(p.patch_embed)
+        tokens = Tensor(xs.reshape(b, cfg.s * cfg.s, cfg.d_in)) @ Tensor(p.patch_embed)
         tokens = tokens + Tensor(p.pos_embed)
-        tokens = concat([Tensor(p.cls_seed.reshape(1, -1)), tokens], axis=0)
-        n = tokens.shape[0]
+        tokens = concat([Tensor(np.broadcast_to(p.cls_seed, (b, 1, d))), tokens], axis=1)
+        n = tokens.shape[1]
         for i, layer in enumerate(p.layers):
             h = layer_norm(tokens)
             wq = self._adapted_graph(layer.wq, f"layer{i}.q", leaves, dropout_rng)
             wv = self._adapted_graph(layer.wv, f"layer{i}.v", leaves, dropout_rng)
-            q = (h @ wq.T).reshape(n, heads, dk).transpose((1, 0, 2))
-            k = (h @ Tensor(layer.wk.T)).reshape(n, heads, dk).transpose((1, 0, 2))
-            v = (h @ wv.T).reshape(n, heads, dk).transpose((1, 0, 2))
-            attn = softmax((q @ k.transpose((0, 2, 1))) * dk**-0.5, axis=-1)
-            mixed = (attn @ v).transpose((1, 0, 2)).reshape(n, d)
+            q = (h @ wq.T).reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
+            k = (h @ Tensor(layer.wk.T)).reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
+            v = (h @ wv.T).reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
+            attn = softmax((q @ k.transpose((0, 1, 3, 2))) * dk**-0.5, axis=-1)
+            mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
             tokens = tokens + mixed @ Tensor(layer.wo.T)
             h2 = layer_norm(tokens)
             tokens = tokens + gelu(h2 @ Tensor(layer.w1.T)) @ Tensor(layer.w2.T)
         tokens = layer_norm(tokens)
-        cls = tokens[0]
-        patch = tokens[1:].reshape(cfg.s, cfg.s, d)
-        return cls, patch
+        return tokens[:, 0], tokens[:, 1:].reshape(b, cfg.s, cfg.s, d)
 
     def _adapted_graph(
         self, base: np.ndarray, name: str, leaves: dict[str, Tensor], dropout_rng=None
@@ -466,8 +430,7 @@ class ToyEncoderBackbone(_Trainable):
     def feature_graph(
         self, id: str, mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
     ) -> Tensor:
-        cls, patch = self.encoder.forward_graph(self._input(id), leaves, dropout_rng)
+        cls, patch = self.encoder.forward_graph(self._input(id)[None], leaves, dropout_rng)
         if mode is FeatureMode.CLS_ONLY:
-            return cls
-        pooled = patch.mean(axis=(0, 1))
-        return concat([cls, pooled])
+            return cls[0]
+        return concat([cls[0], patch[0].mean(axis=(0, 1))])

@@ -75,9 +75,25 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-# List-valued settings stay text in the config, as reports record them; the
-# parsers below only check that the text splits into numbers. Their names
-# carry no underscore because argparse quotes them in usage errors.
+# Integer settings are parsed as positive or nonnegative, so an out-of-range
+# value is a bad value. List-valued settings stay text in the config, as
+# reports record them; their parsers only check that the text splits into
+# numbers. Parser names carry no underscore because argparse quotes them in
+# usage errors.
+
+
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
 def int_list(text: str) -> str:
@@ -124,17 +140,17 @@ class Option:
         return "--" + self.name.replace("_", "-")
 
 
-_SEED = Option("seed", int, 0, "random seed")
+_SEED = Option("seed", nonnegative, 0, "random seed")
 _CSV = Option("csv", boolean, False, "also write metrics.csv")
 _FEATURE_MODE = Option("feature_mode", str, "cls", "CLS, or CLS + pooled patches", ("cls", "patch"))
 _LORA = (
-    Option("lora_rank", int, 16, "adapter rank r"),
+    Option("lora_rank", positive, 16, "adapter rank r"),
     Option("lora_alpha", float, 0.5, "adapter scale alpha (update is alpha/r * B @ A)"),
     Option("lora_dropout", float, 0.0, "adapter input dropout"),
 )
 _LR = Option("lr", float, 3e-4, "Adam learning rate")
-_BATCH = Option("batch", int, 16, "triplets per step")
-_EPOCHS = Option("epochs", int, 8, "training epochs")
+_BATCH = Option("batch", positive, 16, "triplets per step")
+_EPOCHS = Option("epochs", nonnegative, 8, "training epochs")
 _VAL_FRAC = Option("val_frac", float, 0.1, "share of triplets held out for val (and for test)")
 _KS = Option("ks", int_list, "1,3,5", "comma-separated k values")
 _MARGIN = Option("margin", float, 0.05, "hinge margin m")
@@ -142,27 +158,27 @@ _TRAIN = (_MARGIN, _LR, _BATCH, _EPOCHS, _FEATURE_MODE, _SEED, *_LORA, _VAL_FRAC
 
 OPTIONS: dict[str, tuple[Option, ...]] = {
     "synth": (
-        Option("n", int, 1000, "number of triplets"),
-        Option("d", int, 64, "embedding dimension"),
-        Option("s", int, 0, "patch grid side (0 = none)"),
-        Option("factors", int, 8, "latent factor count"),
+        Option("n", positive, 1000, "number of triplets"),
+        Option("d", positive, 64, "embedding dimension"),
+        Option("s", nonnegative, 0, "patch grid side (0 = none)"),
+        Option("factors", positive, 8, "latent factor count"),
         Option("noise", float, 0.0, "embedding noise (relative)"),
-        Option("instances", int, 200, "held-out retrieval instances"),
+        Option("instances", nonnegative, 200, "held-out retrieval instances"),
         _SEED,
         _CSV,
     ),
-    "align": (*_TRAIN, Option("max_steps", int, None, "stop after this many steps")),
+    "align": (*_TRAIN, Option("max_steps", positive, None, "stop after this many steps")),
     "eval": (
         _FEATURE_MODE,
         _SEED,
         _KS,
-        Option("k", int, 3, "examples per RAG bundle"),
+        Option("k", positive, 3, "examples per RAG bundle"),
         *_LORA,
         Option("adapters", str, None, "adapter checkpoint to apply"),
         Option("c_grid", float_list, "1,10,100,1000,10000,100000,1000000", "probe C values"),
-        Option("folds", int, 10, "probe cross-validation folds"),
+        Option("folds", positive, 10, "probe cross-validation folds"),
         replace(_VAL_FRAC, default=0.2, help="share of labeled ids held out by the probe"),
-        Option("bins", int, 256, "depth bins"),
+        Option("bins", positive, 256, "depth bins"),
         Option("depth_range", float_pair, "0.001,10", "d_min,d_max in meters"),
         Option("silog_sign", str, "paper", "SILog loss sign convention", ("paper", "classic")),
         replace(_LR, help="dense-head learning rate"),
@@ -173,7 +189,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     ),
     "ablate": (
         *_TRAIN,
-        Option("budget", int, 13_900, "triplet budget per dataset"),
+        Option("budget", positive, 13_900, "triplet budget per dataset"),
         Option("steps", int_list, None, "comma-separated step counts to ablate"),
         Option("tasks", str, "retrieval", "comma-separated tasks: retrieval, afc"),
         _KS,
@@ -455,10 +471,13 @@ def _eval_dense(args, config, store) -> dict:
         binning = DepthBinning(d_min=lo, d_max=hi, n_bins=config["bins"])
         head = {"binning": binning, "silog_sign": config["silog_sign"]}
     tr, te = _split_counts(len(features), config["train_frac"], config["seed"])
+    batch = config["batch"]
+    if batch is None:
+        batch = 16 if args.task == "seg" else 128
     hyper = HeadHyper(
         lr=config["lr"],
         epochs=config["epochs"],
-        batch_size=config["batch"] or (16 if args.task == "seg" else 128),
+        batch_size=batch,
         seed=config["seed"],
     )
     trained, history = train_linear_head(
@@ -480,9 +499,12 @@ def _eval_probe(args, config, store) -> dict:
     name_to_idx = {n: i for i, n in enumerate(names)}
     x = np.stack([featurize(id) for id in ids])
     y = np.array([name_to_idx[labels[id]] for id in ids])
+    frac = config["val_frac"]
+    if not 0.0 < frac < 1.0:
+        raise DataError(f"--val-frac must be in (0, 1), got {frac}")
     rng = np.random.default_rng(config["seed"])
     perm = rng.permutation(len(ids))
-    n_val = max(1, int(round(config["val_frac"] * len(ids))))
+    n_val = max(1, int(round(frac * len(ids))))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     probe_cfg = ProbeConfig(
         c_grid=tuple(_floats(config["c_grid"])),

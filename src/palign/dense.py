@@ -267,6 +267,8 @@ class HeadHyper:
     resolution: str = "upsample"  # or "downsample"
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.resolution not in ("upsample", "downsample"):
             raise DataError(f"resolution must be 'upsample' or 'downsample', got {self.resolution!r}")
 

@@ -187,6 +187,12 @@ def knn_count_eval(train: CountDataset, test: CountDataset, ks=(1, 3, 5, 10)) ->
         raise DataError("ks must be non-empty")
     if not len(train) or not len(test):
         raise DataError("train and test splits must be non-empty")
+    for k in ks:
+        # the leave-one-out vote must not reach the held-out item itself
+        if not 1 <= k <= len(train) - 1:
+            raise DataError(
+                f"k must be in [1, {len(train) - 1}] for {len(train)} train items, got {k}"
+            )
     index = build_index(train.vectors, train.ids)
     train_sims = index.matrix @ index.matrix.T
     np.fill_diagonal(train_sims, -np.inf)  # leave-one-out
@@ -388,6 +394,8 @@ def linear_probe_classify(
     val_x = np.asarray(val_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.int64)
     val_y = np.asarray(val_y, dtype=np.int64)
+    if not len(train_y) or not len(val_y):
+        raise DataError("probe train and val sets must be non-empty")
     classes = np.unique(np.concatenate([train_y, val_y]))
     n_classes = int(classes.max()) + 1
     if len(classes) < 2:

@@ -401,6 +401,11 @@ class TestTrainAlignment:
         _, h2 = train_alignment(cfg, StoreBackbone(store, rank=4, seed=1), train, val)
         assert h1 == h2
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        with pytest.raises(DataError, match="max_steps must be >= 1"):
+            AlignmentConfig(max_steps=max_steps)
+
     def test_max_steps_cuts_training(self):
         store, train, val = self.world(n=100, seed=8)
         bb = StoreBackbone(store, rank=4, seed=1)

@@ -105,6 +105,12 @@ class TestLoraEffectiveWeight:
         with pytest.raises(DataError):
             LoraAdapter(a=np.zeros((1, 2)), b=np.zeros((2, 1)), rank=1, alpha=1.0, dropout_p=1.0)
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_create_rejects_rank_below_one(self, rank):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="rank must be >= 1"):
+            LoraAdapter.create(d_in=4, d_out=4, rank=rank, alpha=1.0, rng=rng)
+
 
 class TestAssemble:
     def test_constant_patch(self):
@@ -143,6 +149,46 @@ def toy_params(seed=0, **overrides):
     return ToyEncoderParams.random(ToyEncoderConfig(**defaults), seed=seed)
 
 
+def grad_leaves(params):
+    leaves = {}
+    for name, adapter in params.adapters.items():
+        leaves[f"{name}.a"] = Tensor(adapter.a, requires_grad=True)
+        leaves[f"{name}.b"] = Tensor(adapter.b, requires_grad=True)
+    return leaves
+
+
+def independent_forward(params, x):
+    """Independent oracle: the encoder's (s*s + 1, d) output tokens for one
+    input, recomputed with raw numpy and the dense adapted q/v weights."""
+    cfg = params.config
+
+    def ln(t):
+        mu = t.mean(-1, keepdims=True)
+        var = ((t - mu) ** 2).mean(-1, keepdims=True)
+        return (t - mu) / np.sqrt(var + 1e-6)
+
+    toks = x.reshape(-1, cfg.d_in) @ params.patch_embed + params.pos_embed
+    toks = np.vstack([params.cls_seed, toks])
+    n, d, heads = toks.shape[0], cfg.d_model, cfg.n_heads
+    dk = d // heads
+    for i, layer in enumerate(params.layers):
+        wq = lora_effective_weight(layer.wq, params.adapters[f"layer{i}.q"])
+        wv = lora_effective_weight(layer.wv, params.adapters[f"layer{i}.v"])
+        h = ln(toks)
+        q = (h @ wq.T).reshape(n, heads, dk).transpose(1, 0, 2)
+        k = (h @ layer.wk.T).reshape(n, heads, dk).transpose(1, 0, 2)
+        v = (h @ wv.T).reshape(n, heads, dk).transpose(1, 0, 2)
+        s = q @ k.transpose(0, 2, 1) / np.sqrt(dk)
+        e = np.exp(s - s.max(-1, keepdims=True))
+        attn = e / e.sum(-1, keepdims=True)
+        toks = toks + (attn @ v).transpose(1, 0, 2).reshape(n, d) @ layer.wo.T
+        h2 = ln(toks)
+        g = h2 @ layer.w1.T
+        g = 0.5 * g * (1 + np.tanh(np.sqrt(2 / np.pi) * (g + 0.044715 * g**3)))
+        toks = toks + g @ layer.w2.T
+    return ln(toks)
+
+
 class TestToyEncoder:
     def test_deterministic(self):
         params = toy_params()
@@ -160,41 +206,17 @@ class TestToyEncoder:
         assert bundle.patch.shape == (2, 2, 16)
 
     def test_zero_adapters_match_independent_frozen_forward(self):
-        # independent oracle: frozen forward recomputed with raw numpy here
         params = toy_params(seed=4)
         cfg = params.config
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(cfg.s, cfg.s, cfg.d_in))
-
-        def ln(t):
-            mu = t.mean(-1, keepdims=True)
-            var = ((t - mu) ** 2).mean(-1, keepdims=True)
-            return (t - mu) / np.sqrt(var + 1e-6)
-
-        toks = x.reshape(-1, cfg.d_in) @ params.patch_embed + params.pos_embed
-        toks = np.vstack([params.cls_seed, toks])
-        n, d, heads = toks.shape[0], cfg.d_model, cfg.n_heads
-        dk = d // heads
-        for layer in params.layers:
-            h = ln(toks)
-            q = (h @ layer.wq.T).reshape(n, heads, dk).transpose(1, 0, 2)
-            k = (h @ layer.wk.T).reshape(n, heads, dk).transpose(1, 0, 2)
-            v = (h @ layer.wv.T).reshape(n, heads, dk).transpose(1, 0, 2)
-            s = q @ k.transpose(0, 2, 1) / np.sqrt(dk)
-            e = np.exp(s - s.max(-1, keepdims=True))
-            attn = e / e.sum(-1, keepdims=True)
-            toks = toks + (attn @ v).transpose(1, 0, 2).reshape(n, d) @ layer.wo.T
-            h2 = ln(toks)
-            g = h2 @ layer.w1.T
-            g = 0.5 * g * (1 + np.tanh(np.sqrt(2 / np.pi) * (g + 0.044715 * g**3)))
-            toks = toks + g @ layer.w2.T
-        toks = ln(toks)
-
+        x = np.random.default_rng(9).normal(size=(cfg.s, cfg.s, cfg.d_in))
+        toks = independent_forward(params, x)
         bundle = encode(params, x)
         np.testing.assert_allclose(bundle.cls, toks[0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(bundle.patch.reshape(-1, 16), toks[1:], rtol=1e-12, atol=1e-12)
 
     def test_graph_matches_numpy_with_nonzero_adapters(self):
+        # the training path (gradient-carrying leaves) and the numpy path
+        # both against the raw-numpy oracle
         params = toy_params(seed=5)
         rng = np.random.default_rng(6)
         for adapter in params.adapters.values():
@@ -202,14 +224,27 @@ class TestToyEncoder:
             adapter.a[...] = rng.normal(scale=0.3, size=adapter.a.shape)
         enc = ToyEncoder(params)
         x = rng.normal(size=(2, 2, 3))
-        leaves = {}
-        for name, adapter in params.adapters.items():
-            leaves[f"{name}.a"] = Tensor(adapter.a, requires_grad=True)
-            leaves[f"{name}.b"] = Tensor(adapter.b, requires_grad=True)
-        cls_g, patch_g = enc.forward_graph(x, leaves)
+        toks = independent_forward(params, x)
+        cls_g, patch_g = enc.forward_graph(x[None], grad_leaves(params))
         bundle = enc.forward_np(x)
-        np.testing.assert_allclose(cls_g.data, bundle.cls, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(patch_g.data, bundle.patch, rtol=1e-12, atol=1e-14)
+        for cls, patch in ((cls_g.data[0], patch_g.data[0]), (bundle.cls, bundle.patch)):
+            np.testing.assert_allclose(cls, toks[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(patch.reshape(-1, 16), toks[1:], rtol=1e-12, atol=1e-12)
+
+    def test_batch_matches_single_inputs(self):
+        params = toy_params(seed=7)
+        rng = np.random.default_rng(8)
+        for adapter in params.adapters.values():
+            adapter.b[...] = rng.normal(scale=0.3, size=adapter.b.shape)
+        enc = ToyEncoder(params)
+        leaves = grad_leaves(params)
+        xs = rng.normal(size=(3, 2, 2, 3))
+        cls, patch = enc.forward_graph(xs, leaves)
+        assert cls.shape == (3, 16) and patch.shape == (3, 2, 2, 16)
+        for i in range(3):
+            cls_i, patch_i = enc.forward_graph(xs[i : i + 1], leaves)
+            np.testing.assert_allclose(cls.data[i], cls_i.data[0], rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(patch.data[i], patch_i.data[0], rtol=1e-13, atol=1e-15)
 
     def test_input_shape_mismatch(self):
         params = toy_params()

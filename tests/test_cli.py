@@ -17,9 +17,11 @@ from palign.data import (
     load_manifest,
     load_store,
     make_class_triplets,
+    save_labels,
     save_manifest,
     save_store,
 )
+from palign.dense import DenseTarget, save_target
 
 
 def run(*argv) -> int:
@@ -319,7 +321,8 @@ BASE_ARGV = {
     "ablate": ["ablate", "--out", "o", "--dataset", "a=s.paln:m.csv"],
 }
 SAMPLE_TEXT = {
-    int: "7",
+    cli.positive: "7",
+    cli.nonnegative: "7",
     float: "0.375",
     str: "x",
     cli.int_list: "2,4",
@@ -500,3 +503,110 @@ def test_bad_binary_files_fail_clean(world_dir, tmp_path, capsys, case, expected
     assert code == 1
     assert "error:" in err and expected in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tiny_world(tmp_path_factory):
+    """A 40-triplet d=8, s=2 world with inputs for every command and eval task."""
+    w = tmp_path_factory.mktemp("tiny")
+    assert run(
+        "synth", "--out", w, "--n", 40, "--d", 8, "--s", 2, "--factors", 4,
+        "--instances", 6, "--seed", 1,
+    ) == 0
+    ids = load_store(w / "store.paln").ids()
+    save_labels({id: str(i % 3 + 1) for i, id in enumerate(ids[:20])}, w / "count_train.csv")
+    save_labels({id: str(i % 3 + 1) for i, id in enumerate(ids[20:30])}, w / "count_test.csv")
+    save_labels({id: "ab"[i % 2] for i, id in enumerate(ids[:24])}, w / "probe_labels.csv")
+    rng = np.random.default_rng(0)
+    for kind, draw in (("seg", lambda: rng.integers(0, 3, (4, 4))),
+                       ("depth", lambda: rng.uniform(1.0, 5.0, (4, 4)))):
+        (w / kind).mkdir()
+        for id in ids[:12]:
+            save_target(DenseTarget(draw(), np.ones((4, 4))), w / kind / f"{id}.palt", kind)
+    return w
+
+
+def tiny_argv(w: Path, command: str, task: str | None = None) -> list:
+    """A command line that runs to completion on `tiny_world`, without --out."""
+    store, manifest = w / "store.paln", w / "triplets.csv"
+    if command == "synth":
+        return ["synth", "--n", 30, "--d", 8, "--s", 2, "--factors", 4, "--instances", 4]
+    if command == "align":
+        return ["align", "--store", store, "--manifest", manifest, "--epochs", 1, "--lora-rank", 2]
+    if command == "ablate":
+        return [
+            "ablate", "--dataset", f"a={store}:{manifest}", "--tasks", "afc",
+            "--eval-manifest", manifest, "--budget", 40, "--epochs", 1, "--lora-rank", 2,
+        ]
+    inputs = {
+        "retrieval": ["--labels", w / "instance_labels.csv", "--queries", w / "queries.txt"],
+        "rag": ["--labels", w / "instance_labels.csv", "--queries", w / "queries.txt"],
+        "probe": ["--labels", w / "probe_labels.csv", "--folds", 2, "--c-grid", 1],
+        "count": [
+            "--train-labels", w / "count_train.csv", "--test-labels", w / "count_test.csv",
+            "--ks", "1,3",
+        ],
+        "seg": ["--targets", w / "seg", "--epochs", 1],
+        "depth": ["--targets", w / "depth", "--epochs", 1, "--bins", 8],
+    }
+    return ["eval", task, "--store", store, "--lora-rank", 2, *inputs[task]]
+
+
+TINY_COMMANDS = [("synth", None), ("align", None), ("ablate", None)] + [
+    ("eval", task) for task in ("retrieval", "rag", "probe", "count", "seg", "depth")
+]
+
+
+@pytest.mark.parametrize("command,task", TINY_COMMANDS, ids=lambda x: x or "")
+def test_int_options_at_zero_and_minus_one_fail_clean(tiny_world, tmp_path, capsys, command, task):
+    base = tiny_argv(tiny_world, command, task)
+    code, err = run_captured(capsys, *base, "--out", tmp_path / "base")
+    assert code == 0, err
+    for opt in cli.OPTIONS[command]:
+        if opt.parse not in (cli.positive, cli.nonnegative):
+            continue
+        for value in (-1, 0):
+            out = tmp_path / f"{opt.name}{value}"
+            code, err = run_captured(capsys, *base, "--out", out, opt.flag, value)
+            lines = err.strip().splitlines()
+            assert code == 0 or (lines and "error:" in lines[-1]), (opt.flag, value, code, err)
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,task,extra,expected,message",
+    [
+        ("align", None, ["--seed", -1], 2, "invalid nonnegative value"),
+        ("synth", None, ["--seed", -1], 2, "invalid nonnegative value"),
+        ("eval", "retrieval", ["--lora-rank", -1], 2, "invalid positive value"),
+        ("align", None, ["--lora-rank", -1], 2, "invalid positive value"),
+        ("eval", "seg", ["--batch", -1], 2, "invalid positive value"),
+        ("eval", "depth", ["--batch", 0], 2, "invalid positive value"),
+        ("eval", "seg", ["--config", "batch=0"], 1, "bad value '0' for batch"),
+        ("eval", "count", ["--ks", "0"], 1, "k must be in [1, 19] for 20 train items, got 0"),
+        ("eval", "count", ["--ks", "1,19,20"], 1, "k must be in [1, 19]"),
+        ("eval", "probe", ["--val-frac", 1.0], 1, "--val-frac must be in (0, 1), got 1.0"),
+        ("align", None, ["--max-steps", 0], 2, "invalid positive value"),
+        ("align", None, ["--config", "max_steps=0"], 1, "bad value '0' for max_steps"),
+        ("ablate", None, ["--steps", "0,3"], 1, "max_steps must be >= 1, got 0"),
+    ],
+    ids=[
+        "align-seed", "synth-seed", "eval-lora-rank", "align-lora-rank", "seg-batch-neg",
+        "depth-batch-0", "seg-config-batch-0", "count-k-0", "count-k-n-train",
+        "probe-val-frac-1", "align-max-steps-0", "align-config-max-steps-0", "ablate-steps-0",
+    ],
+)
+def test_out_of_range_settings_fail_clean(
+    tiny_world, tmp_path, capsys, command, task, extra, expected, message
+):
+    if extra[0] == "--config":
+        (tmp_path / "run.cfg").write_text(extra[1] + "\n")
+        extra = ["--config", tmp_path / "run.cfg"]
+    code, err = run_captured(
+        capsys, *tiny_argv(tiny_world, command, task), *extra, "--out", tmp_path / "o"
+    )
+    lines = err.strip().splitlines()
+    assert code == expected, err
+    assert "error:" in lines[-1] and message in lines[-1]
+    assert "Traceback" not in err
+

@@ -250,6 +250,11 @@ class TestTrainHead:
         assert history == []
         assert head.weight.shape == (2, 4)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_below_one_rejected(self, batch_size):
+        with pytest.raises(DataError, match="batch_size must be >= 1"):
+            HeadHyper(batch_size=batch_size)
+
     def test_depth_head_trains(self):
         rng = np.random.default_rng(10)
         binning = DepthBinning(d_min=0.5, d_max=8.0, n_bins=16)

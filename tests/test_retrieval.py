@@ -222,6 +222,15 @@ class TestKnnCount:
         assert a["chosen_k"] == b["chosen_k"]
         assert a["mae"] == b["mae"]
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_leave_one_out_range(self, k):
+        # with 4 train items, k = 4 would let the held-out item vote for itself
+        train = CountDataset(ids=list("abcd"), counts=[1, 1, 2, 2], vectors=np.eye(4))
+        test = CountDataset(ids=["q"], counts=[1], vectors=np.ones((1, 4)))
+        assert knn_count_eval(train, test, ks=[1, 3])["chosen_k"] in (1, 3)
+        with pytest.raises(DataError, match=r"k must be in \[1, 3\]"):
+            knn_count_eval(train, test, ks=[1, k])
+
     def test_empty_split(self):
         train = CountDataset(ids=["a"], counts=[1], vectors=np.array([[1.0]]))
         with pytest.raises(DataError):
@@ -352,6 +361,12 @@ class TestLinearProbe:
         y = np.array([0] * 9 + [1] * 3)
         with pytest.raises(DataError, match="training members"):
             linear_probe_classify(x, y, x, y, ProbeConfig(folds=5))
+
+    def test_empty_train_rejected(self):
+        x = np.random.default_rng(13).normal(size=(4, 3))
+        y = np.array([0, 0, 1, 1])
+        with pytest.raises(DataError, match="non-empty"):
+            linear_probe_classify(x[:0], y[:0], x, y, ProbeConfig(folds=2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
