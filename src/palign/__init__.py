@@ -9,7 +9,6 @@ and linear classification probes.
 from .alignment import (
     AdamState,
     AlignmentConfig,
-    TrainState,
     adam_step,
     alignment_loss,
     batch_loss_and_grads,
@@ -30,12 +29,10 @@ from .backbone import (
     assemble_features,
     encode,
     load_adapters,
-    lookup_features,
     lora_effective_weight,
     save_adapters,
 )
 from .data import (
-    EmbeddingRecord,
     EmbeddingStore,
     SyntheticFactorSpec,
     TripletEntry,

@@ -64,6 +64,8 @@ class LoraAdapter:
     def __post_init__(self):
         if self.rank < 1:
             raise DataError(f"rank must be >= 1, got {self.rank}")
+        if not self.alpha > 0:
+            raise DataError(f"alpha must be > 0, got {self.alpha}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise DataError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.a.shape[0] != self.rank or self.b.shape[1] != self.rank:
@@ -100,13 +102,6 @@ def lora_effective_weight(base: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
             f"adapter shapes A{adapter.a.shape} B{adapter.b.shape} do not match base {base.shape}"
         )
     return base + adapter.delta()
-
-
-def lookup_features(store: EmbeddingStore, id: str) -> FeatureBundle:
-    """Frozen-backbone stand-in: return the stored vectors (upcast to f64)."""
-    rec = store[id]
-    patch = None if rec.patch is None else rec.patch.astype(np.float64)
-    return FeatureBundle(cls=rec.cls.astype(np.float64), patch=patch)
 
 
 def assemble_features(bundle: FeatureBundle, mode: FeatureMode) -> np.ndarray:
@@ -226,9 +221,12 @@ class StoreBackbone(_Trainable):
         return {"proj.a": self.adapter.a, "proj.b": self.adapter.b}
 
     def _rows(self, id: str, mode: FeatureMode) -> np.ndarray:
-        """The (1, d) CLS row, or the (2, d) CLS and pooled-patch rows."""
-        bundle = lookup_features(self.store, id)
-        return assemble_features(bundle, mode).reshape(-1, self.store.dim)
+        """The (1, d) CLS row, or the (2, d) CLS and pooled-patch rows, in float64."""
+        store = self.store
+        row = store.row(id)
+        patch = None if store.patch is None else store.patch[row]
+        bundle = FeatureBundle(cls=store.cls[row], patch=patch)
+        return assemble_features(bundle, mode).reshape(-1, store.dim)
 
     def adapt(self, x: np.ndarray) -> np.ndarray:
         """The adapted projection applied along x's last axis; the exact
@@ -418,10 +416,10 @@ class ToyEncoderBackbone(_Trainable):
         return out
 
     def _input(self, id: str) -> np.ndarray:
-        rec = self.store[id]
-        if rec.patch is None:
+        row = self.store.row(id)
+        if self.store.patch is None:
             raise DataError(f"record {id!r} has no patch grid to encode")
-        return rec.patch.astype(np.float64)
+        return self.store.patch[row].astype(np.float64)
 
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
         bundle = self.encoder.forward_np(self._input(id))

@@ -424,7 +424,7 @@ def cmd_align(args, config) -> int:
 
 def _eval_retrieval(args, config, store) -> dict:
     featurize = _featurizer(store, config)
-    return _recall(featurize, store.ids(), args.labels, args.queries, config["ks"])
+    return _recall(featurize, store.ids, args.labels, args.queries, config["ks"])
 
 
 def _eval_count(args, config, store) -> dict:
@@ -440,13 +440,13 @@ def _dense_inputs(args, config, store):
     target_dir = Path(args.targets)
     backbone = _backbone_for(store, config)
     features, targets, kinds = [], [], set()
-    for id in store.ids():
+    for row, id in enumerate(store.ids):
         path = target_dir / f"{id}.palt"
         if not path.exists():
             continue
         target, kind = load_target(path)
         kinds.add(kind)
-        features.append(backbone.adapt(store[id].patch.astype(np.float64)))
+        features.append(backbone.adapt(store.patch[row].astype(np.float64)))
         targets.append(target)
     if not features:
         raise DataError(f"no <id>.palt targets found in {target_dir}")
@@ -463,6 +463,8 @@ def _split_counts(n: int, train_frac: float, seed: int):
 
 def _eval_dense(args, config, store) -> dict:
     """A linear seg or depth head (args.task) on the patch tokens."""
+    if not 0.0 < config["train_frac"] < 1.0:
+        raise DataError(f"--train-frac must be in (0, 1), got {config['train_frac']}")
     features, targets = _dense_inputs(args, config, store)
     if args.task == "seg":
         head = {"n_classes": max(int(t.values.max()) for t in targets) + 1}
@@ -494,7 +496,7 @@ def _eval_dense(args, config, store) -> dict:
 def _eval_probe(args, config, store) -> dict:
     featurize = _featurizer(store, config)
     labels = load_labels(args.labels)
-    ids = [id for id in store.ids() if id in labels]
+    ids = [id for id in store.ids if id in labels]
     names = sorted(set(labels[id] for id in ids))
     name_to_idx = {n: i for i, n in enumerate(names)}
     x = np.stack([featurize(id) for id in ids])
@@ -520,7 +522,7 @@ def _eval_probe(args, config, store) -> dict:
 
 def _eval_rag(args, config, store) -> dict:
     featurize = _featurizer(store, config)
-    index, queries, labels = _gallery_and_queries(featurize, store.ids(), args.labels, args.queries)
+    index, queries, labels = _gallery_and_queries(featurize, store.ids, args.labels, args.queries)
     gallery_labels = {id: labels[id] for id in index.ids}
     query_labels = {q: labels[q] for q in queries}
     result = evaluate_rag(index, gallery_labels, queries, query_labels, k=config["k"])
@@ -567,7 +569,7 @@ def _ablate_eval(task, backbone, args, config) -> dict:
             raise DataError("retrieval task needs --eval-labels and --eval-queries")
         report = _recall(
             lambda id: backbone.feature_np(id, mode),
-            backbone.store.ids(),
+            backbone.store.ids,
             args.eval_labels,
             args.eval_queries,
             config["ks"],

@@ -6,6 +6,11 @@ Embedding store (binary, little-endian): magic ``PALN``, u32 version=1,
 u32 d, u32 s, u64 count; then per record u32 id_len, UTF-8 id bytes,
 d float32 cls values, and s*s*d float32 patch values when s > 0.
 
+In memory an ``EmbeddingStore`` holds the same records as columns: the ids
+in file order, an id -> row map, one (n, d) float32 CLS matrix and, when
+s > 0, one (n, s, s, d) float32 patch array. The file format is unchanged;
+``load_store`` reads each record's floats straight into its row.
+
 Triplet manifest: CSV with header ``ref,x0,x1,y``, UTF-8, LF endings.
 Label file: CSV with header ``id,label``.
 """
@@ -13,10 +18,10 @@ Label file: CSV with header ``id,label``.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,78 +41,53 @@ SPLIT_TAGS = ("train", "val", "test", "unsplit")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EmbeddingRecord:
-    """One image: a global feature vector plus an optional patch grid."""
-
-    id: str
-    cls: np.ndarray
-    patch: np.ndarray | None = None
-
-    def validate(self, dim: int, patch_side: int) -> None:
-        if not self.id:
-            raise DataError("record id must be a non-empty string")
-        if self.cls.shape != (dim,):
-            raise DataError(f"record {self.id!r}: cls shape {self.cls.shape} != ({dim},)")
-        if not np.all(np.isfinite(self.cls)):
-            raise DataError(f"record {self.id!r}: non-finite cls values")
-        if patch_side == 0:
-            if self.patch is not None:
-                raise DataError(f"record {self.id!r}: patch present but store has s=0")
-        else:
-            if self.patch is None:
-                raise DataError(f"record {self.id!r}: patch missing but store has s={patch_side}")
-            expected = (patch_side, patch_side, dim)
-            if self.patch.shape != expected:
-                raise DataError(
-                    f"record {self.id!r}: patch shape {self.patch.shape} != {expected}"
-                )
-            if not np.all(np.isfinite(self.patch)):
-                raise DataError(f"record {self.id!r}: non-finite patch values")
-
-
 class EmbeddingStore:
-    """Ordered collection of embedding records with a fixed (d, s) layout.
+    """Embeddings of n images as columns: `ids` in file order, an id -> row
+    map, an (n, d) float32 `cls` matrix and, when the store has patch grids,
+    an (n, s, s, d) float32 `patch` array (None when s = 0).
 
-    Payloads are kept as float32 (the on-disk precision); numerical code is
-    expected to upcast to float64 at the point of use.
+    Built once from arrays and checked as a whole: ids non-empty and
+    distinct, shapes consistent, values finite. Payloads stay float32 (the
+    on-disk precision); numerical code upcasts to float64 at the point of use.
     """
 
-    def __init__(self, dim: int, patch_side: int = 0):
-        if dim < 1:
-            raise DataError(f"dim must be >= 1, got {dim}")
-        if patch_side < 0:
-            raise DataError(f"patch_side must be >= 0, got {patch_side}")
-        self.dim = dim
-        self.patch_side = patch_side
-        self._records: dict[str, EmbeddingRecord] = {}
-
-    def add(self, record: EmbeddingRecord) -> None:
-        record.cls = np.ascontiguousarray(record.cls, dtype=np.float32)
-        if record.patch is not None:
-            record.patch = np.ascontiguousarray(record.patch, dtype=np.float32)
-        record.validate(self.dim, self.patch_side)
-        if record.id in self._records:
-            raise DataError(f"duplicate record id {record.id!r}")
-        self._records[record.id] = record
+    def __init__(self, ids, cls: np.ndarray, patch: np.ndarray | None = None):
+        self.ids = list(ids)
+        self.cls = np.ascontiguousarray(cls, dtype=np.float32)
+        self.patch = None if patch is None else np.ascontiguousarray(patch, dtype=np.float32)
+        self._row = {id: i for i, id in enumerate(self.ids)}
+        n = len(self.ids)
+        if self.cls.ndim != 2 or len(self.cls) != n:
+            raise DataError(f"cls shape {self.cls.shape} != ({n}, d)")
+        self.dim = self.cls.shape[1]
+        if self.dim < 1:
+            raise DataError(f"dim must be >= 1, got {self.dim}")
+        self.patch_side = 0 if self.patch is None else self.patch.shape[1]
+        expected = (n, self.patch_side, self.patch_side, self.dim)
+        if self.patch is not None and (self.patch_side < 1 or self.patch.shape != expected):
+            raise DataError(f"patch shape {self.patch.shape} != {expected}")
+        if "" in self._row:
+            raise DataError("record id must be a non-empty string")
+        if len(self._row) != n:
+            dup = next(id for i, id in enumerate(self.ids) if self._row[id] != i)
+            raise DataError(f"duplicate record id {dup!r}")
+        for name, values in (("cls", self.cls), ("patch", self.patch)):
+            # min and max carry any NaN or inf, without an n-sized temporary
+            if values is not None and n and not np.isfinite([values.min(), values.max()]).all():
+                bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1))[0]
+                raise DataError(f"record {self.ids[bad]!r}: non-finite {name} values")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.ids)
 
     def __contains__(self, id: str) -> bool:
-        return id in self._records
+        return id in self._row
 
-    def __getitem__(self, id: str) -> EmbeddingRecord:
+    def row(self, id: str) -> int:
         try:
-            return self._records[id]
+            return self._row[id]
         except KeyError:
             raise DataError(f"unknown record id {id!r}") from None
-
-    def __iter__(self):
-        return iter(self._records.values())
-
-    def ids(self) -> list[str]:
-        return list(self._records)
 
 
 @dataclass(frozen=True)
@@ -156,12 +136,6 @@ class TripletManifest:
             seen.add(key)
         return dupes
 
-    def resolve_check(self, store: EmbeddingStore) -> None:
-        for e in self.entries:
-            for id in (e.ref, e.x0, e.x1):
-                if id not in store:
-                    raise DataError(f"manifest id {id!r} not found in store")
-
 
 # ---------------------------------------------------------------------------
 # binary store I/O
@@ -170,21 +144,16 @@ class TripletManifest:
 
 def save_store(store: EmbeddingStore, path) -> int:
     """Write the store; returns the number of bytes written."""
-    buf = io.BytesIO()
-    buf.write(STORE_MAGIC)
-    buf.write(struct.pack("<IIIQ", STORE_VERSION, store.dim, store.patch_side, len(store)))
-    for rec in store:
-        rec.validate(store.dim, store.patch_side)
-        id_bytes = rec.id.encode("utf-8")
-        buf.write(struct.pack("<I", len(id_bytes)))
-        buf.write(id_bytes)
-        buf.write(rec.cls.astype("<f4").tobytes())
-        if store.patch_side > 0:
-            buf.write(rec.patch.astype("<f4").tobytes())
-    payload = buf.getvalue()
     with open(path, "wb") as f:
-        f.write(payload)
-    return len(payload)
+        header = struct.pack("<IIIQ", STORE_VERSION, store.dim, store.patch_side, len(store))
+        n = f.write(STORE_MAGIC + header)
+        for i, id in enumerate(store.ids):
+            id_bytes = id.encode("utf-8")
+            n += f.write(struct.pack("<I", len(id_bytes)) + id_bytes)
+            n += f.write(store.cls[i].astype("<f4", copy=False).tobytes())
+            if store.patch is not None:
+                n += f.write(store.patch[i].astype("<f4", copy=False).tobytes())
+    return n
 
 
 class BoundedReader:
@@ -204,13 +173,21 @@ class BoundedReader:
         if found != version:
             raise FormatError(f"unsupported {kind} version {found}")
 
-    def read(self, n: int, what: str) -> bytes:
+    def _reserve(self, n: int, what: str) -> None:
         if n > self.left:
             raise FormatError(
                 f"truncated {self.kind} file while reading {what} ({n} > {self.left} bytes left)"
             )
         self.left -= n
+
+    def read(self, n: int, what: str) -> bytes:
+        self._reserve(n, what)
         return self.f.read(n)
+
+    def read_into(self, out: np.ndarray, what: str) -> None:
+        """Fill the C-contiguous array `out` with the next out.nbytes bytes."""
+        self._reserve(out.nbytes, what)
+        self.f.readinto(memoryview(out).cast("B"))
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
@@ -223,24 +200,32 @@ class BoundedReader:
 
 
 def load_store(path) -> EmbeddingStore:
+    """Read a store into preallocated columns, one record's floats at a time.
+
+    The header's record count is checked against the bytes left before
+    anything is allocated, so a lying count fails as FormatError.
+    """
     with open(path, "rb") as f:
         reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
         dim, side, count = reader.unpack("<IIQ", "header")
-        store = EmbeddingStore(dim, side)
-        for _ in range(count):
+        smallest = 4 + 4 * dim * (1 + side * side)  # a record with an empty id
+        if count * smallest > reader.left or smallest > sys.maxsize:
+            raise FormatError(
+                f"truncated store file: header declares {count} records of at least"
+                f" {smallest} bytes, but {reader.left} bytes follow"
+            )
+        ids = []
+        cls = np.empty((count, dim), dtype="<f4")
+        patch = np.empty((count, side, side, dim), dtype="<f4") if side else None
+        for i in range(count):
             (id_len,) = reader.unpack("<I", "id length")
-            id = reader.text(id_len, "id")
-            cls = np.frombuffer(reader.read(4 * dim, f"cls of {id!r}"), dtype="<f4").copy()
-            patch = None
-            if side > 0:
-                n = side * side * dim
-                patch = np.frombuffer(
-                    reader.read(4 * n, f"patch of {id!r}"), dtype="<f4"
-                ).reshape(side, side, dim).copy()
-            store.add(EmbeddingRecord(id=id, cls=cls, patch=patch))
+            ids.append(reader.text(id_len, "id"))
+            reader.read_into(cls[i], f"cls of {ids[-1]!r}")
+            if patch is not None:
+                reader.read_into(patch[i], f"patch of {ids[-1]!r}")
         if reader.left:
             raise FormatError("trailing bytes after final record")
-    return store
+    return EmbeddingStore(ids, cls, patch)
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +575,26 @@ def generate_world(spec: SyntheticFactorSpec, n_instances: int = 200) -> Synthet
     emb_map = _embedding_map(rng, spec.d, f)
     patch_maps = _patch_maps(rng, spec.s, spec.d, f) if spec.s > 0 else None
 
-    store = EmbeddingStore(spec.d, spec.s)
+    n_rows = 3 * (spec.n_triplets + n_instances)
+    ids: list[str] = []
+    cls_rows = np.empty((n_rows, spec.d), dtype=np.float32)
+    patch_rows = np.empty((n_rows, spec.s, spec.s, spec.d), dtype=np.float32) if spec.s else None
     sigma = spec.noise_sigma
 
     def embed(id: str, z: np.ndarray) -> None:
         # noise_sigma is relative to the clean signal's per-component RMS
+        row = len(ids)
+        ids.append(id)
         cls = emb_map @ z
         if sigma > 0:
             cls = cls + sigma * (np.linalg.norm(cls) / np.sqrt(spec.d)) * rng.normal(size=spec.d)
-        patch = None
+        cls_rows[row] = cls
         if patch_maps is not None:
             patch = patch_maps @ z
             if sigma > 0:
                 rms = np.linalg.norm(patch) / np.sqrt(patch.size)
                 patch = patch + sigma * rms * rng.normal(size=patch.shape)
-            patch = patch.reshape(spec.s, spec.s, spec.d)
-        store.add(EmbeddingRecord(id=id, cls=cls, patch=patch))
+            patch_rows[row] = patch.reshape(spec.s, spec.s, spec.d)
 
     entries = []
     y_star = np.empty(spec.n_triplets, dtype=np.int64)
@@ -646,7 +635,7 @@ def generate_world(spec: SyntheticFactorSpec, n_instances: int = 200) -> Synthet
 
     manifest = TripletManifest(entries=entries)
     return SyntheticWorld(
-        store=store,
+        store=EmbeddingStore(ids, cls_rows, patch_rows),
         manifest=manifest,
         y_star=y_star,
         class_labels=class_labels,

@@ -267,6 +267,8 @@ class HeadHyper:
     resolution: str = "upsample"  # or "downsample"
 
     def __post_init__(self):
+        if not self.lr > 0:
+            raise DataError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.resolution not in ("upsample", "downsample"):

@@ -150,7 +150,7 @@ class CountDataset:
 
     @classmethod
     def from_store(cls, store, labels: dict[str, str], featurize) -> "CountDataset":
-        ids = [id for id in store.ids() if id in labels]
+        ids = [id for id in store.ids if id in labels]
         if not ids:
             raise DataError("no labeled ids found in the store")
         try:

@@ -33,7 +33,6 @@ from palign.backbone import (
 )
 from palign.cli import main
 from palign.data import (
-    EmbeddingRecord,
     EmbeddingStore,
     SyntheticFactorSpec,
     TripletEntry,
@@ -71,15 +70,11 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(100)
     enc_cfg = ToyEncoderConfig(d_model=64, n_layers=2, n_heads=4, d_in=8, s=4, lora_rank=4)
     params = ToyEncoderParams.random(enc_cfg, seed=101)
-    store = EmbeddingStore(8, 4)
+    cls, patch = [], []
     for i in range(12):
-        store.add(
-            EmbeddingRecord(
-                id=f"v{i}",
-                cls=rng.normal(size=8).astype(np.float32),
-                patch=rng.normal(size=(4, 4, 8)).astype(np.float32),
-            )
-        )
+        cls.append(rng.normal(size=8))
+        patch.append(rng.normal(size=(4, 4, 8)))
+    store = EmbeddingStore([f"v{i}" for i in range(12)], np.stack(cls), np.stack(patch))
     backbone = ToyEncoderBackbone(store, params)
     # a random encoder means random nonzero adapters, so no gradient is
     # trivially zero and every entry carries signal
@@ -94,7 +89,7 @@ def test_criterion_1_gradient_correctness():
     cfg = AlignmentConfig(margin=0.3, feature_mode=FeatureMode.CLS_PLUS_POOLED_PATCH)
 
     ids = [id for e in batch for id in (e.ref, e.x0, e.x1)]
-    xs = np.stack([store[id].patch for id in ids]).astype(np.float64)
+    xs = store.patch[[store.row(id) for id in ids]].astype(np.float64)
 
     def loss_now():
         # one vectorized forward over every id; CLS + pooled patch, as the mode asks
@@ -280,10 +275,8 @@ def test_criterion_5_scale_invariance():
     manifest = TripletManifest(entries=entries)
 
     def make_store(mult):
-        store = EmbeddingStore(12)
-        for id, v in vectors.items():
-            store.add(EmbeddingRecord(id=id, cls=(mult * v).astype(np.float32)))
-        return store
+        cls = [(mult * v).astype(np.float32) for v in vectors.values()]
+        return EmbeddingStore(list(vectors), np.stack(cls))
 
     afc = []
     topk_seqs = []
@@ -294,7 +287,7 @@ def test_criterion_5_scale_invariance():
         backbone = StoreBackbone(store, seed=0)
         afc.append(two_afc_accuracy(backbone, manifest, FeatureMode.CLS_ONLY))
         ids = list(vectors)
-        mat = np.stack([store[id].cls.astype(np.float64) for id in ids])
+        mat = store.cls.astype(np.float64)
         index = build_index(mat, ids)
         seqs = []
         for qi in range(10):

@@ -26,7 +26,6 @@ from palign.backbone import (
     ToyEncoderParams,
 )
 from palign.data import (
-    EmbeddingRecord,
     EmbeddingStore,
     SyntheticFactorSpec,
     TripletEntry,
@@ -111,12 +110,9 @@ class TestAlignmentLoss:
 
 
 def store_of(vectors: dict[str, np.ndarray], s=0, patches=None) -> EmbeddingStore:
-    d = len(next(iter(vectors.values())))
-    store = EmbeddingStore(d, s)
-    for id, v in vectors.items():
-        patch = patches[id] if patches else None
-        store.add(EmbeddingRecord(id=id, cls=np.asarray(v, dtype=np.float32), patch=patch))
-    return store
+    cls = [np.asarray(v, dtype=np.float32) for v in vectors.values()]
+    patch = np.stack([patches[id] for id in vectors]) if patches else None
+    return EmbeddingStore(list(vectors), np.stack(cls), patch)
 
 
 class TestBatchLossAndGrads:
@@ -137,12 +133,9 @@ class TestBatchLossAndGrads:
         bb = StoreBackbone(store, rank=2, seed=5)
         cfg = AlignmentConfig(margin=0.05)
         loss, _ = batch_loss_and_grads(bb, [TripletEntry("r", "a", "b", 1)], cfg)
-        d0 = cosine_distance(
-            store["r"].cls.astype(float), store["a"].cls.astype(float)
-        )
-        d1 = cosine_distance(
-            store["r"].cls.astype(float), store["b"].cls.astype(float)
-        )
+        r, a, b = store.cls.astype(float)
+        d0 = cosine_distance(r, a)
+        d1 = cosine_distance(r, b)
         assert loss == pytest.approx(alignment_loss(d0, d1, 1, 0.05), rel=1e-12)
 
     def test_empty_batch(self):
@@ -230,15 +223,11 @@ class TestGradientOracle:
             d_model=8, n_layers=2, n_heads=2, d_in=3, s=2, lora_rank=2
         )
         params = ToyEncoderParams.random(cfg_enc, seed=9)
-        store = EmbeddingStore(3, 2)
+        cls, patch = [], []
         for i in range(6):
-            store.add(
-                EmbeddingRecord(
-                    id=f"v{i}",
-                    cls=rng.normal(size=3).astype(np.float32),
-                    patch=rng.normal(size=(2, 2, 3)).astype(np.float32),
-                )
-            )
+            cls.append(rng.normal(size=3))
+            patch.append(rng.normal(size=(2, 2, 3)))
+        store = EmbeddingStore([f"v{i}" for i in range(6)], np.stack(cls), np.stack(patch))
         bb = ToyEncoderBackbone(store, params)
         randomize_adapters(bb, seed=10)
         batch = [TripletEntry("v0", "v1", "v2", 1), TripletEntry("v3", "v4", "v5", 0)]
@@ -312,19 +301,15 @@ class TestTwoAfc:
         # Monte Carlo under the null: random embeddings, random labels
         rng = np.random.default_rng(12)
         n = 10_000
-        store = EmbeddingStore(8)
-        entries = []
+        ids, cls, entries = [], [], []
         for i in range(n):
             for suffix in ("r", "a", "b"):
-                store.add(
-                    EmbeddingRecord(
-                        id=f"t{i}{suffix}", cls=rng.normal(size=8).astype(np.float32)
-                    )
-                )
+                ids.append(f"t{i}{suffix}")
+                cls.append(rng.normal(size=8))
             entries.append(
                 TripletEntry(f"t{i}r", f"t{i}a", f"t{i}b", int(rng.integers(2)))
             )
-        bb = StoreBackbone(store)
+        bb = StoreBackbone(EmbeddingStore(ids, np.stack(cls)))
         acc = two_afc_accuracy(bb, manifest_from(entries), FeatureMode.CLS_ONLY)
         assert abs(acc - 0.5) <= 0.02
 

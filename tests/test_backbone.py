@@ -20,40 +20,57 @@ from palign.backbone import (
     assemble_features,
     encode,
     load_adapters,
-    lookup_features,
     lora_effective_weight,
     save_adapters,
 )
-from palign.data import EmbeddingRecord, EmbeddingStore, TripletEntry
+from palign.data import EmbeddingStore, TripletEntry
 from palign.errors import DataError, FormatError
 
 
 def make_store(d=4, s=0, n=3, seed=0):
     rng = np.random.default_rng(seed)
-    store = EmbeddingStore(d, s)
+    cls, patch = np.empty((n, d)), np.empty((n, s, s, d))
     for i in range(n):
-        patch = rng.normal(size=(s, s, d)).astype(np.float32) if s else None
-        store.add(EmbeddingRecord(id=f"img{i}", cls=rng.normal(size=d).astype(np.float32), patch=patch))
-    return store
+        if s:
+            patch[i] = rng.normal(size=(s, s, d))
+        cls[i] = rng.normal(size=d)
+    return EmbeddingStore([f"img{i}" for i in range(n)], cls, patch if s else None)
+
+
+def stored_rows(store, id, mode):
+    """The stored rows a store backbone starts from: (1, d) CLS, or (2, d)
+    CLS and patch mean, upcast from float32 by hand."""
+    row = store.row(id)
+    rows = [store.cls[row].astype(np.float64)]
+    if mode is FeatureMode.CLS_PLUS_POOLED_PATCH:
+        rows.append(store.patch[row].astype(np.float64).mean(axis=(0, 1)))
+    return np.stack(rows)
 
 
 class TestLookup:
+    """The store backbone's frozen lookup: stored rows, upcast to float64."""
+
     def test_returns_stored_values(self):
-        store = EmbeddingStore(2)
-        store.add(EmbeddingRecord(id="a", cls=np.array([1.0, 0.0], dtype=np.float32)))
-        bundle = lookup_features(store, "a")
-        np.testing.assert_array_equal(bundle.cls, [1.0, 0.0])
-        assert bundle.patch is None
+        store = EmbeddingStore(["a"], np.array([[1.0, 0.0]], dtype=np.float32))
+        feat = StoreBackbone(store, rank=1).feature_np("a", FeatureMode.CLS_ONLY)
+        assert feat.dtype == np.float64
+        np.testing.assert_array_equal(feat, [1.0, 0.0])
+        assert store.patch is None and store.patch_side == 0
 
     def test_missing_id(self):
-        store = EmbeddingStore(2)
-        with pytest.raises(DataError, match="unknown"):
-            lookup_features(store, "nope")
+        bb = StoreBackbone(make_store(d=2), rank=1)
+        for mode in FeatureMode:
+            with pytest.raises(DataError, match="unknown record id 'nope'"):
+                bb.feature_np("nope", mode)
 
     def test_patch_shape(self):
         store = make_store(d=5, s=4, n=1)
-        bundle = lookup_features(store, "img0")
-        assert bundle.patch.shape == (4, 4, 5)
+        assert store.patch.shape == (1, 4, 4, 5) and store.patch.dtype == np.float32
+        feat = StoreBackbone(store, rank=2).feature_np("img0", FeatureMode.CLS_PLUS_POOLED_PATCH)
+        assert feat.dtype == np.float64
+        np.testing.assert_array_equal(
+            feat, stored_rows(store, "img0", FeatureMode.CLS_PLUS_POOLED_PATCH).reshape(-1)
+        )
 
 
 class TestLoraEffectiveWeight:
@@ -110,6 +127,13 @@ class TestLoraEffectiveWeight:
         rng = np.random.default_rng(0)
         with pytest.raises(DataError, match="rank must be >= 1"):
             LoraAdapter.create(d_in=4, d_out=4, rank=rank, alpha=1.0, rng=rng)
+
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_nonpositive_alpha_rejected(self, alpha):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="alpha must be > 0"):
+            LoraAdapter.create(d_in=4, d_out=4, rank=2, alpha=alpha, rng=rng)
 
 
 class TestAssemble:
@@ -255,8 +279,7 @@ class TestToyEncoder:
 def dense_oracle(store, adapter, id, mode):
     """Features through the d x d adapted weight I + (alpha/r) * B @ A."""
     w = lora_effective_weight(np.eye(store.dim), adapter)
-    rows = assemble_features(lookup_features(store, id), mode).reshape(-1, store.dim)
-    return (rows @ w.T).reshape(-1)
+    return (stored_rows(store, id, mode) @ w.T).reshape(-1)
 
 
 class TestStoreBackbone:
@@ -264,8 +287,8 @@ class TestStoreBackbone:
         store = make_store(d=6, s=2)
         bb = StoreBackbone(store, rank=3, alpha=0.5, seed=1)
         feat = bb.feature_np("img1", FeatureMode.CLS_PLUS_POOLED_PATCH)
-        expected = assemble_features(lookup_features(store, "img1"), FeatureMode.CLS_PLUS_POOLED_PATCH)
-        np.testing.assert_allclose(feat, expected, rtol=1e-12)
+        expected = stored_rows(store, "img1", FeatureMode.CLS_PLUS_POOLED_PATCH).reshape(-1)
+        np.testing.assert_array_equal(feat, expected)
 
     def test_graph_matches_numpy(self):
         # one op order on both paths, and both equal the dense oracle
@@ -275,7 +298,7 @@ class TestStoreBackbone:
         bb.adapter.b[...] = rng.normal(size=bb.adapter.b.shape)
         leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
         for mode in FeatureMode:
-            for id in store.ids():
+            for id in store.ids:
                 feat = bb.feature_np(id, mode)
                 np.testing.assert_array_equal(bb.feature_graph(id, mode, leaves).data, feat)
                 expected = dense_oracle(store, bb.adapter, id, mode)
@@ -290,7 +313,7 @@ class TestStoreBackbone:
         leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
         rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
         dropped = 0
-        for id in store.ids():
+        for id in store.ids:
             got = bb.feature_graph(id, FeatureMode.CLS_PLUS_POOLED_PATCH, leaves, rng).data
             mask = (oracle_rng.random(d) >= p) / (1.0 - p)
             dropped += int((mask == 0).sum())
@@ -302,7 +325,7 @@ class TestStoreBackbone:
     def test_adapt_applies_the_adapted_weight_per_token(self):
         store = make_store(d=5, s=3, seed=14)
         bb = StoreBackbone(store, rank=2, seed=15)
-        grid = store["img0"].patch.astype(np.float64)
+        grid = store.patch[0].astype(np.float64)
         np.testing.assert_array_equal(bb.adapt(grid), grid)  # B = 0: exact identity
         bb.adapter.b[...] = np.random.default_rng(16).normal(size=bb.adapter.b.shape)
         w = lora_effective_weight(np.eye(5), bb.adapter)

@@ -11,7 +11,6 @@ from palign import cli
 from palign.backbone import save_adapters
 from palign.cli import main
 from palign.data import (
-    EmbeddingRecord,
     EmbeddingStore,
     load_labels,
     load_manifest,
@@ -475,9 +474,7 @@ def _lying_adapters(path):
 
 
 def _non_utf8_store(path):
-    store = EmbeddingStore(2)
-    store.add(EmbeddingRecord(id="xy", cls=np.ones(2)))
-    save_store(store, path)
+    save_store(EmbeddingStore(["xy"], np.ones((1, 2))), path)
     raw = bytearray(path.read_bytes())
     raw[28:30] = b"\xff\xfe"  # the id bytes
     path.write_bytes(bytes(raw))
@@ -513,7 +510,7 @@ def tiny_world(tmp_path_factory):
         "synth", "--out", w, "--n", 40, "--d", 8, "--s", 2, "--factors", 4,
         "--instances", 6, "--seed", 1,
     ) == 0
-    ids = load_store(w / "store.paln").ids()
+    ids = load_store(w / "store.paln").ids
     save_labels({id: str(i % 3 + 1) for i, id in enumerate(ids[:20])}, w / "count_train.csv")
     save_labels({id: str(i % 3 + 1) for i, id in enumerate(ids[20:30])}, w / "count_test.csv")
     save_labels({id: "ab"[i % 2] for i, id in enumerate(ids[:24])}, w / "probe_labels.csv")
@@ -610,3 +607,43 @@ def test_out_of_range_settings_fail_clean(
     assert "error:" in lines[-1] and message in lines[-1]
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize(
+    "command,task,extra,message",
+    [
+        ("align", None, ["--lora-alpha", 0], "alpha must be > 0, got 0.0"),
+        ("ablate", None, ["--lora-alpha", -1], "alpha must be > 0, got -1.0"),
+        ("eval", "retrieval", ["--lora-alpha", 0], "alpha must be > 0, got 0.0"),
+        ("eval", "seg", ["--lr", 0], "lr must be > 0, got 0.0"),
+        ("eval", "depth", ["--lr", -1], "lr must be > 0, got -1.0"),
+        ("eval", "seg", ["--train-frac", -1], "--train-frac must be in (0, 1), got -1.0"),
+        ("eval", "depth", ["--train-frac", 0], "--train-frac must be in (0, 1), got 0.0"),
+        ("eval", "seg", ["--train-frac", 1], "--train-frac must be in (0, 1), got 1.0"),
+    ],
+    ids=[
+        "align-alpha-0", "ablate-alpha-neg", "eval-alpha-0", "seg-lr-0", "depth-lr-neg",
+        "seg-train-frac-neg", "depth-train-frac-0", "seg-train-frac-1",
+    ],
+)
+def test_out_of_range_floats_fail_clean(
+    tiny_world, tmp_path, capsys, command, task, extra, message
+):
+    code, err = run_captured(
+        capsys, *tiny_argv(tiny_world, command, task), *extra, "--out", tmp_path / "o"
+    )
+    assert code == 1
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_lying_store_count_fails_clean(world_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.paln"
+    bad.write_bytes(b"PALN" + struct.pack("<IIIQ", 1, 1, 0, 2**40) + bytes(6))
+    code, err = run_captured(
+        capsys, "eval", "retrieval", "--store", bad,
+        "--labels", world_dir / "instance_labels.csv", "--queries", world_dir / "queries.txt",
+        "--out", tmp_path / "o",
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith("error:")
+    assert "Traceback" not in err

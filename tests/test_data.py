@@ -1,6 +1,7 @@
 """Store/manifest round-trips, triplet construction, and the synthetic generator."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palign.data import (
-    EmbeddingRecord,
     EmbeddingStore,
     SyntheticFactorSpec,
     TripletEntry,
@@ -29,28 +29,22 @@ from palign.errors import DataError, FormatError, PalignError
 
 def small_store(d=4, s=0, n=2, seed=0):
     rng = np.random.default_rng(seed)
-    store = EmbeddingStore(d, s)
+    cls, patch = np.empty((n, d)), np.empty((n, s, s, d))
     for i in range(n):
-        patch = rng.normal(size=(s, s, d)).astype(np.float32) if s else None
-        store.add(
-            EmbeddingRecord(
-                id=f"img{i}", cls=rng.normal(size=d).astype(np.float32), patch=patch
-            )
-        )
-    return store
+        if s:
+            patch[i] = rng.normal(size=(s, s, d))
+        cls[i] = rng.normal(size=d)
+    return EmbeddingStore([f"img{i}" for i in range(n)], cls, patch if s else None)
 
 
 def stores_equal(a: EmbeddingStore, b: EmbeddingStore) -> bool:
-    if (a.dim, a.patch_side, a.ids()) != (b.dim, b.patch_side, b.ids()):
+    if (a.dim, a.patch_side, a.ids) != (b.dim, b.patch_side, b.ids):
         return False
-    for ra, rb in zip(a, b):
-        if not np.array_equal(ra.cls, rb.cls):
-            return False
-        if (ra.patch is None) != (rb.patch is None):
-            return False
-        if ra.patch is not None and not np.array_equal(ra.patch, rb.patch):
-            return False
-    return True
+    if not np.array_equal(a.cls, b.cls):
+        return False
+    if (a.patch is None) != (b.patch is None):
+        return False
+    return a.patch is None or np.array_equal(a.patch, b.patch)
 
 
 class TestStoreIO:
@@ -78,10 +72,29 @@ class TestStoreIO:
         assert (version, d, s, count) == (1, 768, 16, 1)
 
     def test_duplicate_id_rejected(self):
-        store = EmbeddingStore(2)
-        store.add(EmbeddingRecord(id="x", cls=np.zeros(2, dtype=np.float32)))
-        with pytest.raises(DataError, match="duplicate"):
-            store.add(EmbeddingRecord(id="x", cls=np.ones(2, dtype=np.float32)))
+        with pytest.raises(DataError, match="duplicate record id 'x'"):
+            EmbeddingStore(["x", "y", "x"], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["cls", "patch"])
+    def test_non_finite_values_rejected(self, bad, column):
+        cls, patch = np.zeros((3, 2)), np.zeros((3, 2, 2, 2))
+        (cls if column == "cls" else patch)[1].flat[-1] = bad
+        with pytest.raises(DataError, match=f"record 'b': non-finite {column} values"):
+            EmbeddingStore(["a", "b", "c"], cls, patch)
+
+    @pytest.mark.parametrize(
+        "ids,cls,message",
+        [
+            (["a", ""], np.zeros((2, 2)), "non-empty"),
+            (["a", "b"], np.zeros((3, 2)), "cls shape"),
+            (["a"], np.zeros(2), "cls shape"),
+            (["a"], np.zeros((1, 0)), "dim must be >= 1"),
+        ],
+    )
+    def test_bad_columns_rejected(self, ids, cls, message):
+        with pytest.raises(DataError, match=message):
+            EmbeddingStore(ids, cls)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.paln"
@@ -109,8 +122,7 @@ class TestStoreIO:
             load_store(path)
 
     def test_non_utf8_id_rejected(self, tmp_path):
-        store = EmbeddingStore(2)
-        store.add(EmbeddingRecord(id="xy", cls=np.ones(2)))
+        store = EmbeddingStore(["xy"], np.ones((1, 2)))
         path = tmp_path / "id.paln"
         save_store(store, path)
         raw = bytearray(path.read_bytes())
@@ -160,16 +172,54 @@ class TestStoreIO:
         save_store(store, path)
         assert stores_equal(load_store(path), store)
 
+    @pytest.mark.parametrize("d,s,count", [(1, 0, 2**40), (2**32 - 1, 2**32 - 1, 0)])
+    def test_lying_count_fails_before_allocating(self, tmp_path, d, s, count):
+        # 2**40 one-float records cannot fit in 6 bytes, and a loader that
+        # preallocated first would ask for 4 TiB; no array can hold even
+        # zero records of the second layout
+        path = tmp_path / "count.paln"
+        path.write_bytes(b"PALN" + struct.pack("<IIIQ", 1, d, s, count) + bytes(6))
+        assert path.stat().st_size == 30
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"header declares {count} records"):
+                load_store(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), s=st.integers(0, 2), n=st.integers(0, 4))
+    def test_corrupt_bytes_fail_clean(self, data, s, n, tmp_path_factory):
+        # a truncated, bit-flipped or lying file loads or raises a palign error
+        path = tmp_path_factory.mktemp("bad") / "s.paln"
+        save_store(small_store(d=3, s=s, n=n), path)
+        raw = bytearray(path.read_bytes())
+        kind = data.draw(st.sampled_from(["truncate", "flip", "count", "id length"]))
+        if kind == "truncate":
+            del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+        elif kind == "flip":
+            bits = st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)
+            for bit in data.draw(bits):
+                raw[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "count":
+            raw[16:24] = struct.pack("<Q", data.draw(st.integers(0, 2**64 - 1)))
+        elif n:
+            # a record's id length; with 4-byte ids a record takes 8 + 12 * (1 + s * s) bytes
+            record = data.draw(st.integers(0, n - 1))
+            at = 24 + record * (8 + 12 * (1 + s * s))
+            raw[at : at + 4] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
+        path.write_bytes(bytes(raw))
+        try:
+            store = load_store(path)
+        except (FormatError, DataError):
+            return
+        assert len(store.ids) == len(store.cls)
+
     def test_patch_dim_mismatch_rejected(self):
-        store = EmbeddingStore(3, patch_side=2)
-        with pytest.raises(DataError):
-            store.add(
-                EmbeddingRecord(
-                    id="x",
-                    cls=np.zeros(3, dtype=np.float32),
-                    patch=np.zeros((2, 2, 4), dtype=np.float32),
-                )
-            )
+        with pytest.raises(DataError, match="patch shape"):
+            EmbeddingStore(["x"], np.zeros((1, 3)), np.zeros((1, 2, 2, 4)))
 
 
 class TestManifestIO:
@@ -311,10 +361,11 @@ def cosine_dist(u, v):
 
 def raw_embedding_2afc(store, manifest):
     hits = 0.0
+    cls = store.cls.astype(np.float64)
     for e in manifest:
-        ref = store[e.ref].cls.astype(np.float64)
-        d0 = cosine_dist(ref, store[e.x0].cls.astype(np.float64))
-        d1 = cosine_dist(ref, store[e.x1].cls.astype(np.float64))
+        ref, x0, x1 = (cls[store.row(id)] for id in (e.ref, e.x0, e.x1))
+        d0 = cosine_dist(ref, x0)
+        d1 = cosine_dist(ref, x1)
         if d0 == d1:
             hits += 0.5
         elif (d1 < d0) == bool(e.y):
@@ -336,9 +387,9 @@ class TestSyntheticGenerator:
         s2, m2, y2 = make_synthetic_nights(spec)
         assert m1.entries == m2.entries
         np.testing.assert_array_equal(y1, y2)
-        for a, b in zip(s1, s2):
-            np.testing.assert_array_equal(a.cls, b.cls)
-            np.testing.assert_array_equal(a.patch, b.patch)
+        assert s1.ids == s2.ids
+        np.testing.assert_array_equal(s1.cls, s2.cls)
+        np.testing.assert_array_equal(s1.patch, s2.patch)
 
     def test_noisy_embeddings_partial_agreement(self):
         # oracle: evaluate the generated set with cosine distances directly
@@ -354,8 +405,8 @@ class TestSyntheticGenerator:
         store, manifest, _ = make_synthetic_nights(spec)
         assert store.dim == 12 and store.patch_side == 3
         assert len(store) == 15  # ref + two variations per triplet
-        rec = store[manifest.entries[0].ref]
-        assert rec.patch.shape == (3, 3, 12)
+        assert store.cls.shape == (15, 12) and store.patch.shape == (15, 3, 3, 12)
+        assert store.row(manifest.entries[0].ref) == 0
 
     def test_world_instances(self):
         spec = SyntheticFactorSpec(n_triplets=10, d=16, factor_count=6, seed=3)

@@ -255,6 +255,11 @@ class TestTrainHead:
         with pytest.raises(DataError, match="batch_size must be >= 1"):
             HeadHyper(batch_size=batch_size)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_nonpositive_lr_rejected(self, lr):
+        with pytest.raises(DataError, match="lr must be > 0"):
+            HeadHyper(lr=lr)
+
     def test_depth_head_trains(self):
         rng = np.random.default_rng(10)
         binning = DepthBinning(d_min=0.5, d_max=8.0, n_bins=16)
