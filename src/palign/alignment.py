@@ -6,9 +6,10 @@ cosine distance than the other one:
 
     loss = max(0, m - (d0 - d1) * ybar),   ybar = 2y - 1
 
-Only low-rank adapter matrices train; everything else stays frozen. Losses
-and gradients accumulate in float64 with a fixed summation order so reruns
-are bit-reproducible and finite-difference checks are meaningful.
+Only low-rank adapter matrices train; everything else stays frozen. Each
+step is one autodiff graph over its batch, scored by the same function as
+the validation pass. Losses and gradients accumulate in float64 in a fixed
+order, so reruns are bit-reproducible and finite differences meaningful.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import DataError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_SCORE_CHUNK = 256  # triplets the val pass scores at once
 
 
 def judgment_sign(y: int) -> int:
@@ -35,23 +37,22 @@ def judgment_sign(y: int) -> int:
 
 
 def cosine_distance(u, v):
-    """1 - cos(u, v); accepts numpy vectors or autodiff tensors.
+    """1 - cos(u, v) along the last axis; accepts numpy arrays or autodiff tensors.
 
     Zero-norm inputs are refused outright: silently defining d(0, .) would
     quietly corrupt both training and evaluation.
     """
     if u.shape != v.shape:
         raise DataError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = ((u * u).sum()) ** 0.5
-    nv = ((v * v).sum()) ** 0.5
-    if float(nu) == 0.0 or float(nv) == 0.0:
+    norms = ((u * u).sum(axis=-1)) ** 0.5 * ((v * v).sum(axis=-1)) ** 0.5
+    if (Tensor(norms).data == 0.0).any():
         raise DataError("cosine distance undefined for zero-norm input")
-    return 1.0 - (u * v).sum() / (nu * nv)
+    return 1.0 - (u * v).sum(axis=-1) / norms
 
 
 def alignment_loss(d0: float, d1: float, y: int, m: float) -> float:
     """Hinge on the distance gap; zero iff the preferred image wins by >= m."""
-    if m <= 0:
+    if not m > 0:
         raise DataError(f"margin must be > 0, got {m}")
     return max(0.0, m - (d0 - d1) * judgment_sign(y))
 
@@ -72,9 +73,9 @@ class AlignmentConfig:
     max_steps: int | None = None  # optional cap for step-count ablations
 
     def __post_init__(self):
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise DataError(f"margin must be > 0, got {self.margin}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise DataError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -140,32 +141,44 @@ def adam_step(
     return state
 
 
+def _distinct_ids(triplets) -> list[str]:
+    """Every id the triplets name, in first-appearance order (ref, x0, x1)."""
+    return list(dict.fromkeys(id for e in triplets for id in (e.ref, e.x0, e.x1)))
+
+
+def _score_triplets(feats, ids: list[str], triplets, margin: float):
+    """Hinge loss (a Tensor) and 2AFC credit (an array) of each triplet, from
+    the Tensor `feats` with one row per id of `ids`. The hinge is
+    max(0, m - (d0 - d1) * ybar) on cosine distances; the credit is 1 when the
+    closer image matches the judgment, 0 when not, and 0.5 on an exact tie.
+    """
+    row = {id: i for i, id in enumerate(ids)}
+    ref, x0, x1 = ([row[getattr(e, f)] for e in triplets] for f in ("ref", "x0", "x1"))
+    ybar = np.array([judgment_sign(e.y) for e in triplets], dtype=np.float64)
+    d0 = cosine_distance(feats[ref], feats[x0])
+    d1 = cosine_distance(feats[ref], feats[x1])
+    hinge = (margin - (d0 - d1) * ybar).relu()
+    credit = np.where(d0.data == d1.data, 0.5, (d1.data < d0.data) == (ybar > 0))
+    return hinge, credit
+
+
 def batch_loss_and_grads(
     backbone, batch, config: AlignmentConfig, dropout_rng=None
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean hinge loss over the batch and gradients for adapter parameters.
 
-    Triplets are summed in batch order; features are built once per unique
-    id. Margin-satisfied triplets contribute exactly zero gradient.
+    One graph covers the batch: its distinct ids are featurized together, in
+    first-appearance order, and every triplet is scored from those rows.
+    Margin-satisfied triplets contribute exactly zero gradient.
     """
     batch = list(batch)
     if not batch:
         raise DataError("batch must be non-empty")
     leaves = {name: Tensor(arr, requires_grad=True) for name, arr in backbone.trainable.items()}
-    feats: dict[str, Tensor] = {}
-
-    def feat(id: str) -> Tensor:
-        if id not in feats:
-            feats[id] = backbone.feature_graph(id, config.feature_mode, leaves, dropout_rng)
-        return feats[id]
-
-    total = None
-    for e in batch:
-        d0 = cosine_distance(feat(e.ref), feat(e.x0))
-        d1 = cosine_distance(feat(e.ref), feat(e.x1))
-        term = (config.margin - (d0 - d1) * float(judgment_sign(e.y))).relu()
-        total = term if total is None else total + term
-    loss = total / float(len(batch))
+    ids = _distinct_ids(batch)
+    feats = backbone.feature_graph(ids, config.feature_mode, leaves, dropout_rng)
+    hinge, _ = _score_triplets(feats, ids, batch, config.margin)
+    loss = hinge.mean()
     loss.backward()
     grads = {
         name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
@@ -174,13 +187,25 @@ def batch_loss_and_grads(
     return float(loss.data), grads
 
 
-def _cached_features(backbone, manifest: TripletManifest, mode: FeatureMode, feats):
+def _score_manifest(backbone, manifest: TripletManifest, mode: FeatureMode, margin, feats):
+    """Hinge and credit arrays of _score_triplets over a manifest at the current
+    params, each id featurized once through `feature_np` (ids already in the
+    cache `feats` are reused). Chunks of triplets bound the stacked copies."""
+    if not len(manifest):
+        raise DataError("manifest must be non-empty")
     feats = {} if feats is None else feats
-    for e in manifest:
-        for id in (e.ref, e.x0, e.x1):
+    entries, hinges, credits = list(manifest), [], []
+    for start in range(0, len(entries), _SCORE_CHUNK):
+        chunk = entries[start : start + _SCORE_CHUNK]
+        ids = _distinct_ids(chunk)
+        for id in ids:
             if id not in feats:
                 feats[id] = backbone.feature_np(id, mode)
-    return feats
+        rows = Tensor(np.stack([feats[id] for id in ids]))
+        hinge, credit = _score_triplets(rows, ids, chunk, margin)
+        hinges.append(hinge.data)
+        credits.append(credit)
+    return np.concatenate(hinges), np.concatenate(credits)
 
 
 def mean_alignment_loss(
@@ -191,15 +216,8 @@ def mean_alignment_loss(
     `feats` is an optional id -> feature cache for the current params and
     mode; ids it lacks are featurized and added to it.
     """
-    if not len(manifest):
-        raise DataError("manifest must be non-empty")
-    feats = _cached_features(backbone, manifest, config.feature_mode, feats)
-    total = 0.0
-    for e in manifest:
-        d0 = float(cosine_distance(feats[e.ref], feats[e.x0]))
-        d1 = float(cosine_distance(feats[e.ref], feats[e.x1]))
-        total += alignment_loss(d0, d1, e.y, config.margin)
-    return total / len(manifest)
+    hinge, _ = _score_manifest(backbone, manifest, config.feature_mode, config.margin, feats)
+    return float(hinge.mean())
 
 
 def two_afc_accuracy(backbone, manifest: TripletManifest, mode: FeatureMode, feats=None) -> float:
@@ -208,18 +226,8 @@ def two_afc_accuracy(backbone, manifest: TripletManifest, mode: FeatureMode, fea
     Exact distance ties earn half credit. `feats` is a feature cache as in
     mean_alignment_loss.
     """
-    if not len(manifest):
-        raise DataError("manifest must be non-empty")
-    feats = _cached_features(backbone, manifest, mode, feats)
-    hits = 0.0
-    for e in manifest:
-        d0 = float(cosine_distance(feats[e.ref], feats[e.x0]))
-        d1 = float(cosine_distance(feats[e.ref], feats[e.x1]))
-        if d0 == d1:
-            hits += 0.5
-        elif (d1 < d0) == bool(e.y):
-            hits += 1.0
-    return hits / len(manifest)
+    _, credit = _score_manifest(backbone, manifest, mode, 1.0, feats)  # credit ignores the margin
+    return float(credit.mean())
 
 
 def train_alignment(

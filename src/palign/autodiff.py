@@ -145,9 +145,18 @@ class Tensor:
         out_data = a @ b
 
         def backward(grad):
-            ga = grad @ b.swapaxes(-1, -2)
-            gb = a.swapaxes(-1, -2) @ grad
-            return (_unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape))
+            # a 2-D operand's gradient contracts the other's batch axes in one
+            # product, rather than summing a per-batch stack of it
+            ga = gb = None
+            if self.requires_grad and a.ndim == 2 < b.ndim:
+                ga = np.tensordot(grad, b, axes=([*range(b.ndim - 2), -1],) * 2)
+            elif self.requires_grad:
+                ga = _unbroadcast(grad @ b.swapaxes(-1, -2), self.shape)
+            if other.requires_grad and b.ndim == 2 < a.ndim:
+                gb = np.tensordot(a, grad, axes=(list(range(a.ndim - 1)),) * 2)
+            elif other.requires_grad:
+                gb = _unbroadcast(a.swapaxes(-1, -2) @ grad, other.shape)
+            return (ga, gb)
 
         return self._from_op(out_data, (self, other), backward)
 

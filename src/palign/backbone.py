@@ -11,10 +11,11 @@ Two interchangeable backbones feed the alignment trainer:
   carry LoRA adapters, so end-to-end gradients through attention are
   exercised. Record patch grids are treated as the raw encoder input.
 
-Every backbone exposes a plain-numpy featurization (used by evaluations and
-finite-difference oracles) and a graph featurization over autodiff tensors
-(used by training). The store backbone's two paths share `_lora_apply`; the
-toy encoder has one forward pass, `ToyEncoder.forward_graph`, and its numpy
+Every backbone exposes a plain-numpy featurization of one id (used by
+evaluations and finite-difference oracles) and a graph featurization of a
+list of ids as one (n, k*d) tensor over autodiff leaves (used by training,
+once per step). The store backbone's two paths share `_lora_apply`; the toy
+encoder has one forward pass, `ToyEncoder.forward_graph`, and its numpy
 path runs that pass on constant tensors.
 
 Adapter checkpoint file: magic ``PALA``, u32 version=1, u64 count, then per
@@ -66,6 +67,8 @@ class LoraAdapter:
             raise DataError(f"rank must be >= 1, got {self.rank}")
         if not self.alpha > 0:
             raise DataError(f"alpha must be > 0, got {self.alpha}")
+        if not np.isfinite(self.alpha):
+            raise DataError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise DataError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.a.shape[0] != self.rank or self.b.shape[1] != self.rank:
@@ -105,13 +108,13 @@ def lora_effective_weight(base: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
 
 
 def assemble_features(bundle: FeatureBundle, mode: FeatureMode) -> np.ndarray:
-    """CLS alone, or CLS concatenated with the spatial mean of the patch grid."""
+    """CLS alone, or CLS and the patch grid's spatial mean, per stacked record."""
     if mode is FeatureMode.CLS_ONLY:
         return np.array(bundle.cls, dtype=np.float64)
     if bundle.patch is None:
         raise DataError("feature mode needs patch tokens but the record has none")
-    pooled = bundle.patch.astype(np.float64).mean(axis=(0, 1))
-    return np.concatenate([np.asarray(bundle.cls, dtype=np.float64), pooled])
+    pooled = bundle.patch.astype(np.float64).mean(axis=(-3, -2))
+    return np.concatenate([np.asarray(bundle.cls, dtype=np.float64), pooled], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +158,19 @@ def load_adapters(path) -> dict[str, np.ndarray]:
     return named
 
 
-def _dropped(a: Tensor, p: float, rng) -> Tensor:
-    """LoRA input dropout, folded into A's columns; inactive when rng is None."""
+def _dropped(x, p: float, rng, shape):
+    """x times a LoRA input-dropout mask of `shape`; x when p is 0 or rng None."""
     if p <= 0.0 or rng is None:
-        return a
-    mask = (rng.random(a.shape[1]) >= p) / (1.0 - p)
-    return a * Tensor(mask[None, :])
+        return x
+    return x * ((rng.random(shape) >= p) / (1.0 - p))
 
 
-def _lora_apply(rows, a, b, scale: float):
-    """Each row x of `rows` mapped to x + scale * B @ (A @ x), without forming
-    the d x d weight; accepts numpy arrays or autodiff tensors."""
-    return rows + scale * ((rows @ a.T) @ b.T)
+def _lora_apply(rows, a, b, scale: float, a_input=None):
+    """Each row x of `rows` mapped to x + scale * B @ (A @ x'), without forming
+    the d x d weight. x' is the matching row of `a_input` (x after LoRA input
+    dropout), x itself by default. Accepts numpy arrays or autodiff tensors."""
+    x = rows if a_input is None else a_input
+    return rows + scale * ((x @ a.T) @ b.T)
 
 
 class _Trainable:
@@ -220,13 +224,12 @@ class StoreBackbone(_Trainable):
     def trainable(self) -> dict[str, np.ndarray]:
         return {"proj.a": self.adapter.a, "proj.b": self.adapter.b}
 
-    def _rows(self, id: str, mode: FeatureMode) -> np.ndarray:
-        """The (1, d) CLS row, or the (2, d) CLS and pooled-patch rows, in float64."""
-        store = self.store
-        row = store.row(id)
-        patch = None if store.patch is None else store.patch[row]
-        bundle = FeatureBundle(cls=store.cls[row], patch=patch)
-        return assemble_features(bundle, mode).reshape(-1, store.dim)
+    def _rows(self, ids: list[str], mode: FeatureMode) -> np.ndarray:
+        """(len(ids), k, d) float64 rows: CLS, and in patch mode the pooled patch."""
+        store, rows = self.store, [self.store.row(id) for id in ids]
+        patch = None if store.patch is None else store.patch[rows]
+        bundle = FeatureBundle(cls=store.cls[rows], patch=patch)
+        return assemble_features(bundle, mode).reshape(len(ids), -1, store.dim)
 
     def adapt(self, x: np.ndarray) -> np.ndarray:
         """The adapted projection applied along x's last axis; the exact
@@ -234,15 +237,18 @@ class StoreBackbone(_Trainable):
         return _lora_apply(x, self.adapter.a, self.adapter.b, self.adapter.scale)
 
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
-        return self.adapt(self._rows(id, mode)).reshape(-1)
+        return self.adapt(self._rows([id], mode)).reshape(-1)
 
     def feature_graph(
-        self, id: str, mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
+        self, ids: list[str], mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
     ) -> Tensor:
-        # one dropout mask per id, shared by the CLS and pooled rows
-        a = _dropped(leaves["proj.a"], self.adapter.dropout_p, dropout_rng)
-        rows = Tensor(self._rows(id, mode))
-        return _lora_apply(rows, a, leaves["proj.b"], self.adapter.scale).reshape(-1)
+        """(len(ids), k * d) features as one graph over the adapter leaves."""
+        rows = self._rows(ids, mode)
+        # one dropout mask per id, shared by its CLS and pooled rows
+        masked = _dropped(rows, self.adapter.dropout_p, dropout_rng, (len(ids), 1, rows.shape[2]))
+        out = _lora_apply(Tensor(rows), leaves["proj.a"], leaves["proj.b"], self.adapter.scale,
+                          Tensor(masked))
+        return out.reshape(len(ids), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +387,7 @@ class ToyEncoder:
         self, base: np.ndarray, name: str, leaves: dict[str, Tensor], dropout_rng=None
     ) -> Tensor:
         adapter = self.params.adapters[name]
-        a = _dropped(leaves[f"{name}.a"], adapter.dropout_p, dropout_rng)
+        a = _dropped(leaves[f"{name}.a"], adapter.dropout_p, dropout_rng, (1, base.shape[1]))
         b = leaves[f"{name}.b"]
         return Tensor(base) + adapter.scale * (b @ a)
 
@@ -415,20 +421,21 @@ class ToyEncoderBackbone(_Trainable):
             out[f"{name}.b"] = adapter.b
         return out
 
-    def _input(self, id: str) -> np.ndarray:
-        row = self.store.row(id)
+    def _inputs(self, ids: list[str]) -> np.ndarray:
+        rows = [self.store.row(id) for id in ids]
         if self.store.patch is None:
-            raise DataError(f"record {id!r} has no patch grid to encode")
-        return self.store.patch[row].astype(np.float64)
+            raise DataError(f"record {ids[0]!r} has no patch grid to encode")
+        return self.store.patch[rows].astype(np.float64)
 
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
-        bundle = self.encoder.forward_np(self._input(id))
+        bundle = self.encoder.forward_np(self._inputs([id])[0])
         return assemble_features(bundle, mode)
 
     def feature_graph(
-        self, id: str, mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
+        self, ids: list[str], mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
     ) -> Tensor:
-        cls, patch = self.encoder.forward_graph(self._input(id)[None], leaves, dropout_rng)
+        """(len(ids), k * d) features from one forward pass; one q/v mask per call."""
+        cls, patch = self.encoder.forward_graph(self._inputs(ids), leaves, dropout_rng)
         if mode is FeatureMode.CLS_ONLY:
-            return cls[0]
-        return concat([cls[0], patch[0].mean(axis=(0, 1))])
+            return cls
+        return concat([cls, patch.mean(axis=(1, 2))], axis=1)

@@ -72,14 +72,21 @@ def _ints(text: str) -> list[int]:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return [finite(tok) for tok in text.split(",") if tok]
 
 
-# Integer settings are parsed as positive or nonnegative, so an out-of-range
-# value is a bad value. List-valued settings stay text in the config, as
-# reports record them; their parsers only check that the text splits into
-# numbers. Parser names carry no underscore because argparse quotes them in
-# usage errors.
+# Integer settings are parsed as positive or nonnegative and float settings as
+# finite, so an out-of-range value, NaN or infinity is a bad value. List-valued
+# settings stay text in the config, as reports record them; their parsers only
+# check that the text splits into numbers. Parser names carry no underscore
+# because argparse quotes them in usage errors.
+
+
+def finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
 
 
 def positive(text: str) -> int:
@@ -145,15 +152,15 @@ _CSV = Option("csv", boolean, False, "also write metrics.csv")
 _FEATURE_MODE = Option("feature_mode", str, "cls", "CLS, or CLS + pooled patches", ("cls", "patch"))
 _LORA = (
     Option("lora_rank", positive, 16, "adapter rank r"),
-    Option("lora_alpha", float, 0.5, "adapter scale alpha (update is alpha/r * B @ A)"),
-    Option("lora_dropout", float, 0.0, "adapter input dropout"),
+    Option("lora_alpha", finite, 0.5, "adapter scale alpha (update is alpha/r * B @ A)"),
+    Option("lora_dropout", finite, 0.0, "adapter input dropout"),
 )
-_LR = Option("lr", float, 3e-4, "Adam learning rate")
+_LR = Option("lr", finite, 3e-4, "Adam learning rate")
 _BATCH = Option("batch", positive, 16, "triplets per step")
 _EPOCHS = Option("epochs", nonnegative, 8, "training epochs")
-_VAL_FRAC = Option("val_frac", float, 0.1, "share of triplets held out for val (and for test)")
+_VAL_FRAC = Option("val_frac", finite, 0.1, "share of triplets held out for val (and for test)")
 _KS = Option("ks", int_list, "1,3,5", "comma-separated k values")
-_MARGIN = Option("margin", float, 0.05, "hinge margin m")
+_MARGIN = Option("margin", finite, 0.05, "hinge margin m")
 _TRAIN = (_MARGIN, _LR, _BATCH, _EPOCHS, _FEATURE_MODE, _SEED, *_LORA, _VAL_FRAC, _CSV)
 
 OPTIONS: dict[str, tuple[Option, ...]] = {
@@ -162,7 +169,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("d", positive, 64, "embedding dimension"),
         Option("s", nonnegative, 0, "patch grid side (0 = none)"),
         Option("factors", positive, 8, "latent factor count"),
-        Option("noise", float, 0.0, "embedding noise (relative)"),
+        Option("noise", finite, 0.0, "embedding noise (relative)"),
         Option("instances", nonnegative, 200, "held-out retrieval instances"),
         _SEED,
         _CSV,
@@ -184,7 +191,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         replace(_LR, help="dense-head learning rate"),
         replace(_EPOCHS, default=10, help="dense-head epochs"),
         replace(_BATCH, default=None, help="dense-head images per step (seg 16, depth 128)"),
-        Option("train_frac", float, 0.8, "share of dense images used to train the head"),
+        Option("train_frac", finite, 0.8, "share of dense images used to train the head"),
         _CSV,
     ),
     "ablate": (
@@ -497,6 +504,8 @@ def _eval_probe(args, config, store) -> dict:
     featurize = _featurizer(store, config)
     labels = load_labels(args.labels)
     ids = [id for id in store.ids if id in labels]
+    if not ids:
+        raise DataError("no labeled ids found in the store")
     names = sorted(set(labels[id] for id in ids))
     name_to_idx = {n: i for i, n in enumerate(names)}
     x = np.stack([featurize(id) for id in ids])

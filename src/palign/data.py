@@ -404,7 +404,7 @@ class SyntheticFactorSpec:
             raise DataError("s must be >= 0")
         if self.factor_count < 1:
             raise DataError("factor_count must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise DataError("noise_sigma must be >= 0")
 
 

@@ -3,7 +3,8 @@
 Both heads are single linear layers on patch tokens. Predictions made at
 the token grid are reconciled with full-resolution targets either by
 nearest-neighbor upsampling of predictions (default) or by downsampling
-targets (majority vote for classes, mean for depth).
+targets (majority vote for classes, mean for depth). Training builds one
+graph per batch, with softmax per token before one gather to the pixels.
 
 The depth head classifies into bins; its training loss is the
 scale-invariant log loss applied to the probability-weighted bin centers:
@@ -149,31 +150,31 @@ def depth_encode(depth: np.ndarray, binning: DepthBinning) -> np.ndarray:
     return np.clip(idx, 0, binning.n_bins - 1).astype(np.int64)
 
 
-def depth_decode(probs: np.ndarray, binning: DepthBinning) -> np.ndarray:
-    """Expected depth under a per-pixel bin distribution (one-hot included)."""
-    probs = np.asarray(probs, dtype=np.float64)
+def depth_decode(probs, binning: DepthBinning):
+    """Expected depth under a per-pixel bin distribution (one-hot included);
+    accepts numpy arrays or autodiff tensors."""
     if probs.shape[-1] != binning.n_bins:
         raise DataError(f"distribution has {probs.shape[-1]} bins, binning {binning.n_bins}")
-    return probs @ binning.centers
+    return (probs * binning.centers).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# losses (single graph implementation; public ops wrap it)
+# losses (one batched graph each; the public ops run it at B = 1)
 # ---------------------------------------------------------------------------
 
 
 def _jaccard_graph(probs: Tensor, onehot: np.ndarray) -> Tensor:
-    """1 - mean soft-Jaccard over classes present in prediction or target.
+    """Per-image 1 - mean soft-Jaccard over classes present in prediction or target.
 
-    probs: (N, C) rows on the simplex; onehot: (N, C) constant.
+    probs: (B, P, C) rows on the simplex; onehot: (B, P, C) constant. Both are
+    zero on padded pixels. An image with a pixel always has a present class.
     """
-    target = Tensor(onehot)
-    intersection = (probs * target).sum(axis=0)
-    union = (probs + target - probs * target).sum(axis=0)
+    intersection = (probs * onehot).sum(axis=1)
+    union = (probs + onehot - probs * onehot).sum(axis=1)
     active = union.data > 0.0
-    if not active.any():
-        raise DataError("jaccard undefined: no class present anywhere")
-    return 1.0 - (intersection[active] / union[active]).mean()
+    # an absent class scores 0 / 1 and is left out of the count
+    ratio = intersection / (union + ~active)
+    return 1.0 - ratio.sum(axis=1) / active.sum(axis=1)
 
 
 def jaccard_loss(pred_probs: np.ndarray, target: DenseTarget) -> float:
@@ -194,12 +195,15 @@ def jaccard_loss(pred_probs: np.ndarray, target: DenseTarget) -> float:
     if labels.min() < 0 or labels.max() >= n_classes:
         raise DataError("target class id outside prediction's class range")
     onehot = np.eye(n_classes)[labels]
-    return float(_jaccard_graph(Tensor(probs), onehot).data)
+    return float(_jaccard_graph(Tensor(probs[None]), onehot[None]).data[0])
 
 
-def _silog_graph(pred: Tensor, target: np.ndarray, eps: float, lam: float, sign: float) -> Tensor:
-    d = (pred + eps).log() - Tensor(np.log(target + eps))
-    return (d * d).mean() + sign * lam * d.mean() ** 2
+def _silog_graph(pred: Tensor, target, weight, eps: float, lam: float, sign: float) -> Tensor:
+    """Per-image SILog of (B, P) depths against targets over the pixels where
+    weight is 1 (0 marks padding)."""
+    d = ((pred + eps).log() - Tensor(np.log(target + eps))) * weight
+    n = weight.sum(axis=1)
+    return (d * d).sum(axis=1) / n + sign * lam * (d.sum(axis=1) / n) ** 2
 
 
 def silog_loss(
@@ -223,7 +227,9 @@ def silog_loss(
     truth = target.values[target.valid_mask].astype(np.float64)
     if np.any(pred < 0) or np.any(truth < 0):
         raise DataError("depths must be >= 0")
-    return float(_silog_graph(Tensor(pred), truth, eps, lam, _silog_sign(sign)).data)
+    loss = _silog_graph(Tensor(pred[None]), truth[None], np.ones((1, len(pred))), eps, lam,
+                        _silog_sign(sign))
+    return float(loss.data[0])
 
 
 def _silog_sign(sign: str) -> float:
@@ -269,6 +275,8 @@ class HeadHyper:
     def __post_init__(self):
         if not self.lr > 0:
             raise DataError(f"lr must be > 0, got {self.lr}")
+        if not np.isfinite(self.lr):
+            raise DataError(f"lr must be finite, got {self.lr}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.resolution not in ("upsample", "downsample"):
@@ -286,57 +294,80 @@ def _token_index_map(s: int, h: int, w: int) -> np.ndarray:
 
 
 def _downsample_target(target: DenseTarget, s: int, task: str) -> DenseTarget:
-    """Majority vote (seg) or mean (depth) of valid pixels per token cell."""
+    """Majority vote (seg) or mean (depth) of valid pixels per token cell, for a
+    target with at least one valid pixel."""
     h, w = target.values.shape
-    tok = _token_index_map(s, h, w)
-    flat_vals = target.values.reshape(-1)
-    flat_mask = target.valid_mask.reshape(-1)
-    out_vals = np.zeros(s * s, dtype=target.values.dtype)
-    out_mask = np.zeros(s * s, dtype=bool)
-    for t in range(s * s):
-        sel = (tok == t) & flat_mask
-        if not sel.any():
-            continue
-        out_mask[t] = True
-        if task == "seg":
-            vals, freq = np.unique(flat_vals[sel], return_counts=True)
-            out_vals[t] = vals[np.argmax(freq)]  # ties to the smaller class id
-        else:
-            out_vals[t] = flat_vals[sel].mean()
-    return DenseTarget(values=out_vals.reshape(s, s), valid_mask=out_mask.reshape(s, s))
-
-
-def _flat_tokens(features: np.ndarray) -> np.ndarray:
-    s1, s2, d = features.shape
-    if s1 != s2:
-        raise DataError(f"patch grid must be square, got {features.shape}")
-    return features.reshape(s1 * s2, d).astype(np.float64)
-
-
-def _image_loss_graph(task, w, b, features, target, binning, sign, hyper):
-    """Loss for one image as a graph over head parameters."""
-    s = features.shape[0]
-    tokens = _flat_tokens(features)
-    logits = Tensor(tokens) @ w.T + b  # (s*s, C)
-    if hyper.resolution == "downsample":
-        eff_target = _downsample_target(target, s, task)
-        pixel_logits = logits
-    else:
-        eff_target = target
-        h, wd = target.values.shape
-        pixel_logits = logits[_token_index_map(s, h, wd)]
-    mask = eff_target.valid_mask.reshape(-1)
-    if not mask.any():
-        raise DataError("image has no valid pixels after resolution handling")
-    valid_logits = pixel_logits[mask]
-    probs = softmax(valid_logits, axis=-1)
+    mask = target.valid_mask.reshape(-1)
+    tok, vals = _token_index_map(s, h, w)[mask], target.values.reshape(-1)[mask]
+    count = np.bincount(tok, minlength=s * s)
     if task == "seg":
-        labels = eff_target.values.reshape(-1)[mask]
-        onehot = np.eye(w.shape[0])[labels]
-        return _jaccard_graph(probs, onehot)
-    depth = probs @ Tensor(binning.centers.reshape(-1, 1))
-    truth = eff_target.values.reshape(-1)[mask].astype(np.float64)
-    return _silog_graph(depth.reshape(-1), truth, SILOG_EPS, SILOG_LAMBDA, _silog_sign(sign))
+        classes, vote = np.unique(vals, return_inverse=True)
+        votes = np.zeros((s * s, len(classes)), dtype=np.int64)
+        np.add.at(votes, (tok, vote), 1)
+        out = classes[votes.argmax(axis=1)]  # ties to the smaller class id
+    else:
+        out = np.bincount(tok, weights=vals, minlength=s * s) / np.maximum(count, 1)
+    return DenseTarget(values=out.reshape(s, s), valid_mask=(count > 0).reshape(s, s))
+
+
+def _head_inputs(features, targets, task: str, resolution: str, n_classes: int | None):
+    """Tokens (N, s*s, d) and, per image, the token index and target value of
+    each valid pixel (row-major, after resolution handling). Targets are checked
+    here, once: a non-empty valid mask, seg class ids among the head's classes,
+    finite positive depths."""
+    if len(features) != len(targets) or not features:
+        raise DataError("features and targets must be non-empty and parallel")
+    shape = features[0].shape
+    if len(shape) != 3 or shape[0] != shape[1] or any(f.shape != shape for f in features):
+        raise DataError(f"patch grids must be square and of one (s, s, d) shape, got {shape}")
+    s = shape[0]
+    tokens = np.stack(features).astype(np.float64).reshape(len(features), s * s, shape[2])
+    pixels = []
+    for target in targets:
+        values = target.values[target.valid_mask]
+        if not values.size:
+            raise DataError("empty valid mask")
+        if task == "seg" and (values.min() < 0 or values.max() >= n_classes):
+            raise DataError(f"target class ids must lie in [0, {n_classes}), the head's classes")
+        if task == "depth" and not np.all((values > 0) & (values < np.inf)):
+            raise DataError("nonpositive or non-finite target depth inside the valid mask")
+        if resolution == "downsample":
+            target = _downsample_target(target, s, task)
+        h, w = target.values.shape
+        keep = target.valid_mask.reshape(-1)
+        pixels.append((_token_index_map(s, h, w)[keep], target.values.reshape(-1)[keep]))
+    return tokens, pixels
+
+
+def _pixel_batch(pixels, rows):
+    """(index, values, weight), each (B, P): the valid pixels of images `rows`,
+    padded to the batch's largest count by repeating the image's own pixels,
+    so padded terms stay finite. weight is 1 on pixels, 0 on padding."""
+    counts = np.array([len(pixels[r][0]) for r in rows])
+    size = counts.max()
+    index = np.stack([np.resize(pixels[r][0], size) for r in rows])
+    values = np.stack([np.resize(pixels[r][1], size) for r in rows])
+    return index, values, (np.arange(size) < counts[:, None]).astype(np.float64)
+
+
+def _head_pixels(w: Tensor, b: Tensor, tokens: np.ndarray, index: np.ndarray, binning=None):
+    """The head's output at each pixel, `index` (B, P) naming its token:
+    class probabilities (B, P, C), or, given a depth binning, expected depth
+    (B, P). Softmax and decoding run per token, before the gather to pixels."""
+    out = softmax(Tensor(tokens) @ w.T + b, axis=-1)
+    if binning is not None:
+        out = depth_decode(out, binning)
+    return out[np.arange(len(index))[:, None], index]
+
+
+def _head_loss(task, w: Tensor, b: Tensor, tokens, pixels, rows, binning=None, sign=1.0):
+    """Mean loss of the images `rows` as one graph over the head's w and b."""
+    index, values, weight = _pixel_batch(pixels, rows)
+    if task == "seg":
+        probs = _head_pixels(w, b, tokens[rows], index) * weight[..., None]
+        return _jaccard_graph(probs, np.eye(w.shape[0])[values] * weight[..., None]).mean()
+    depth = _head_pixels(w, b, tokens[rows], index, binning)
+    return _silog_graph(depth, values, weight, SILOG_EPS, SILOG_LAMBDA, sign).mean()
 
 
 def train_linear_head(
@@ -348,18 +379,15 @@ def train_linear_head(
     binning: DepthBinning | None = None,
     silog_sign: str = "paper",
 ):
-    """Fit a linear head on frozen patch features with Adam.
+    """Fit a linear head on frozen patch features with Adam, one graph per batch.
 
-    Only head parameters move; the features' fingerprint is asserted
-    unchanged. Returns (head, per-epoch mean loss list).
+    Only head parameters move: training reads a stacked copy of the features.
+    Returns (head, per-epoch mean loss list).
     """
     from .alignment import AdamState, adam_step  # local to avoid cycle at import
 
     if task not in ("seg", "depth"):
         raise DataError(f"task must be 'seg' or 'depth', got {task!r}")
-    if len(features) != len(targets) or not features:
-        raise DataError("features and targets must be non-empty and parallel")
-    d = features[0].shape[-1]
     if task == "seg":
         if n_classes is None or n_classes < 2:
             raise DataError("seg head needs n_classes >= 2")
@@ -367,11 +395,12 @@ def train_linear_head(
     else:
         binning = binning or DepthBinning()
         n_out = binning.n_bins
+    sign = _silog_sign(silog_sign)
+    tokens, pixels = _head_inputs(features, targets, task, hyper.resolution, n_classes)
 
-    fingerprint = sum(float(f.sum()) for f in features)
     rng = np.random.default_rng(hyper.seed)
     params = {
-        "weight": rng.normal(scale=0.01, size=(n_out, d)),
+        "weight": rng.normal(scale=0.01, size=(n_out, tokens.shape[2])),
         "bias": np.zeros(n_out),
     }
     adam = AdamState()
@@ -384,13 +413,7 @@ def train_linear_head(
             batch = perm[start : start + hyper.batch_size]
             w = Tensor(params["weight"], requires_grad=True)
             b = Tensor(params["bias"], requires_grad=True)
-            total = None
-            for i in batch:
-                term = _image_loss_graph(
-                    task, w, b, features[i], targets[i], binning, silog_sign, hyper
-                )
-                total = term if total is None else total + term
-            loss = total / float(len(batch))
+            loss = _head_loss(task, w, b, tokens, pixels, batch, binning, sign)
             loss.backward()
             grads = {"weight": w.grad, "bias": b.grad}
             adam_step(params, grads, adam, hyper.lr)
@@ -398,8 +421,6 @@ def train_linear_head(
             count += len(batch)
         history.append(epoch_sum / count)
 
-    if sum(float(f.sum()) for f in features) != fingerprint:
-        raise AssertionError("backbone features were modified during head training")
     if task == "seg":
         return SegHead(weight=params["weight"], bias=params["bias"]), history
     return DepthHead(weight=params["weight"], bias=params["bias"], binning=binning), history
@@ -410,31 +431,15 @@ def train_linear_head(
 # ---------------------------------------------------------------------------
 
 
-def _head_pixel_scores(head_w, head_b, features: np.ndarray, target: DenseTarget) -> np.ndarray:
-    """Per-pixel logits, token predictions upsampled to target resolution."""
-    s = features.shape[0]
-    tokens = _flat_tokens(features)
-    logits = tokens @ head_w.T + head_b
-    h, w = target.values.shape
-    return logits[_token_index_map(s, h, w)]
-
-
 def eval_seg(head: SegHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
     """mIoU over classes present in target or prediction, plus pixel accuracy."""
-    if len(features) != len(targets) or not features:
-        raise DataError("features and targets must be non-empty and parallel")
     n_classes = head.n_classes
+    tokens, pixels = _head_inputs(features, targets, "seg", "upsample", n_classes)
+    w, b = Tensor(head.weight), Tensor(head.bias)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for feat, target in zip(features, targets):
-        if target.n_valid == 0:
-            raise DataError("empty valid mask")
-        logits = _head_pixel_scores(head.weight, head.bias, feat, target)
-        pred = np.argmax(logits, axis=-1)
-        mask = target.valid_mask.reshape(-1)
-        truth = target.values.reshape(-1)[mask]
-        if truth.min() < 0 or truth.max() >= n_classes:
-            raise DataError(f"target class ids must lie in [0, {n_classes}), the head's classes")
-        np.add.at(confusion, (truth, pred[mask]), 1)
+    for i, (index, truth) in enumerate(pixels):
+        probs = _head_pixels(w, b, tokens[i : i + 1], index[None]).data[0]
+        np.add.at(confusion, (truth, np.argmax(probs, axis=-1)), 1)
     present = (confusion.sum(axis=1) + confusion.sum(axis=0)) > 0
     tp = np.diag(confusion)
     denom = confusion.sum(axis=1) + confusion.sum(axis=0) - tp
@@ -450,24 +455,13 @@ DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
 
 def eval_depth(head: DepthHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
     """RMSE, AbsRel, log10, and delta-threshold accuracies over valid pixels."""
-    if len(features) != len(targets) or not features:
-        raise DataError("features and targets must be non-empty and parallel")
-    preds, truths = [], []
-    for feat, target in zip(features, targets):
-        if target.n_valid == 0:
-            raise DataError("empty valid mask")
-        logits = _head_pixel_scores(head.weight, head.bias, feat, target)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
-        depth = depth_decode(probs, head.binning)
-        mask = target.valid_mask.reshape(-1)
-        truth = target.values.reshape(-1)[mask].astype(np.float64)
-        if np.any(truth <= 0):
-            raise DataError("nonpositive target depth inside the valid mask")
-        preds.append(depth[mask])
-        truths.append(truth)
-    a = np.concatenate(preds)
-    b = np.concatenate(truths)
+    tokens, pixels = _head_inputs(features, targets, "depth", "upsample", None)
+    w, bias = Tensor(head.weight), Tensor(head.bias)
+    a = np.concatenate([
+        _head_pixels(w, bias, tokens[i : i + 1], index[None], head.binning).data[0]
+        for i, (index, _) in enumerate(pixels)
+    ])
+    b = np.concatenate([truth.astype(np.float64) for _, truth in pixels])
     ratio = np.maximum(a / b, b / a)
     return {
         "rmse": float(np.sqrt(((a - b) ** 2).mean())),

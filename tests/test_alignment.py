@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from palign.alignment import (
+    _SCORE_CHUNK,
     AdamState,
     AlignmentConfig,
     adam_step,
@@ -329,6 +330,30 @@ class TestTwoAfc:
         )
         assert acc1 == acc2
 
+    def test_val_pass_over_several_chunks_matches_per_triplet_loop(self):
+        rng = np.random.default_rng(31)
+        vectors = {f"v{i}": rng.normal(size=5) for i in range(40)}
+        vectors["v2"] = vectors["v1"]
+        store = store_of(vectors)
+        bb = StoreBackbone(store, rank=2, seed=1)
+        bb.adapter.b[...] = rng.normal(scale=0.5, size=bb.adapter.b.shape)
+        entries = [
+            TripletEntry(*(f"v{i}" for i in rng.choice(40, 3, replace=False)), int(rng.integers(2)))
+            for _ in range(2 * _SCORE_CHUNK + 7)
+        ]
+        entries.append(TripletEntry("v0", "v1", "v2", 1))  # an exact tie
+        feats = {id: bb.feature_np(id, FeatureMode.CLS_ONLY) for id in store.ids}
+        losses, credits = [], []
+        for e in entries:
+            d0, d1 = (cosine_distance(feats[e.ref], feats[x]) for x in (e.x0, e.x1))
+            losses.append(alignment_loss(d0, d1, e.y, 0.2))
+            credits.append(0.5 if d0 == d1 else float((d1 < d0) == bool(e.y)))
+        cfg = AlignmentConfig(margin=0.2)
+        assert mean_alignment_loss(bb, manifest_from(entries), cfg) == pytest.approx(
+            np.mean(losses), rel=1e-12
+        )
+        assert two_afc_accuracy(bb, manifest_from(entries), cfg.feature_mode) == np.mean(credits)
+
 
 class TestTrainAlignment:
     def world(self, n=200, seed=1, noise=0.0):
@@ -385,6 +410,12 @@ class TestTrainAlignment:
         _, h1 = train_alignment(cfg, StoreBackbone(store, rank=4, seed=1), train, val)
         _, h2 = train_alignment(cfg, StoreBackbone(store, rank=4, seed=1), train, val)
         assert h1 == h2
+
+    @pytest.mark.parametrize("field", ["margin", "lr"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_margin_and_lr_rejected(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be > 0"):
+            AlignmentConfig(**{field: value})
 
     @pytest.mark.parametrize("max_steps", [0, -1])
     def test_max_steps_below_one_rejected(self, max_steps):

@@ -117,6 +117,15 @@ class TestMatmulAndShapes:
         b = RNG.normal(size=(5, 4, 2))
         check_grad(lambda t: ((t @ Tensor(b)) ** 2).sum(), a)
 
+    def test_matmul_with_one_2d_operand(self):
+        # the 2-D operand's gradient contracts the other's batch axes
+        stack = RNG.normal(size=(3, 2, 4))
+        mat = RNG.normal(size=(4, 5))
+        check_grad(lambda t: ((Tensor(stack) @ t) ** 2).sum(), mat)
+        check_grad(lambda t: ((t @ Tensor(mat)) ** 2).sum(), stack)
+        lhs = RNG.normal(size=(2, 4))
+        check_grad(lambda t: ((t @ Tensor(stack.transpose(0, 2, 1))) ** 2).sum(), lhs)
+
     def test_reshape_transpose(self):
         x = RNG.normal(size=(2, 6))
         m = RNG.normal(size=(3, 3))

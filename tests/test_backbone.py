@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from palign.alignment import AlignmentConfig, batch_loss_and_grads
+from palign.alignment import AlignmentConfig, batch_loss_and_grads, cosine_distance
 from palign.autodiff import Tensor
 from palign.backbone import (
     FeatureBundle,
@@ -17,6 +17,7 @@ from palign.backbone import (
     ToyEncoderBackbone,
     ToyEncoderConfig,
     ToyEncoderParams,
+    _lora_apply,
     assemble_features,
     encode,
     load_adapters,
@@ -134,6 +135,11 @@ class TestLoraEffectiveWeight:
         rng = np.random.default_rng(0)
         with pytest.raises(DataError, match="alpha must be > 0"):
             LoraAdapter.create(d_in=4, d_out=4, rank=2, alpha=alpha, rng=rng)
+
+    def test_infinite_alpha_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="alpha must be finite"):
+            LoraAdapter.create(d_in=4, d_out=4, rank=2, alpha=float("inf"), rng=rng)
 
 
 class TestAssemble:
@@ -282,6 +288,32 @@ def dense_oracle(store, adapter, id, mode):
     return (stored_rows(store, id, mode) @ w.T).reshape(-1)
 
 
+def per_triplet_step(bb, batch, cfg, dropout_rng=None):
+    """Oracle for batch_loss_and_grads on a store backbone: one small graph per
+    id (`_lora_apply` on Tensors, its dropout mask folded into A and drawn in
+    first-appearance order) and one cosine-distance hinge per triplet, summed
+    in batch order."""
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
+    p, feats = bb.adapter.dropout_p, {}
+
+    def feat(id):
+        if id not in feats:
+            a = leaves["proj.a"]
+            if dropout_rng is not None:
+                a = a * Tensor((dropout_rng.random((1, bb.store.dim)) >= p) / (1.0 - p))
+            rows = Tensor(stored_rows(bb.store, id, cfg.feature_mode))
+            feats[id] = _lora_apply(rows, a, leaves["proj.b"], bb.adapter.scale).reshape(-1)
+        return feats[id]
+
+    total = 0.0
+    for e in batch:
+        gap = cosine_distance(feat(e.ref), feat(e.x0)) - cosine_distance(feat(e.ref), feat(e.x1))
+        total = total + (cfg.margin - gap * float(2 * e.y - 1)).relu()
+    loss = total / float(len(batch))
+    loss.backward()
+    return float(loss.data), {k: leaf.grad for k, leaf in leaves.items()}
+
+
 class TestStoreBackbone:
     def test_zero_init_reproduces_lookup(self):
         store = make_store(d=6, s=2)
@@ -298,9 +330,10 @@ class TestStoreBackbone:
         bb.adapter.b[...] = rng.normal(size=bb.adapter.b.shape)
         leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
         for mode in FeatureMode:
-            for id in store.ids:
+            graph = bb.feature_graph(store.ids, mode, leaves).data
+            for id, graph_row in zip(store.ids, graph, strict=True):
                 feat = bb.feature_np(id, mode)
-                np.testing.assert_array_equal(bb.feature_graph(id, mode, leaves).data, feat)
+                np.testing.assert_array_equal(graph_row, feat)
                 expected = dense_oracle(store, bb.adapter, id, mode)
                 np.testing.assert_allclose(feat, expected, rtol=1e-12)
 
@@ -313,8 +346,8 @@ class TestStoreBackbone:
         leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
         rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
         dropped = 0
-        for id in store.ids:
-            got = bb.feature_graph(id, FeatureMode.CLS_PLUS_POOLED_PATCH, leaves, rng).data
+        graph = bb.feature_graph(store.ids, FeatureMode.CLS_PLUS_POOLED_PATCH, leaves, rng).data
+        for id, got in zip(store.ids, graph, strict=True):
             mask = (oracle_rng.random(d) >= p) / (1.0 - p)
             dropped += int((mask == 0).sum())
             masked = LoraAdapter(a=bb.adapter.a * mask, b=bb.adapter.b, rank=3, alpha=0.5)
@@ -348,6 +381,45 @@ class TestStoreBackbone:
         finally:
             tracemalloc.stop()
         assert peak < d * d * 8
+
+    @pytest.mark.parametrize("mode", list(FeatureMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_batch_step_matches_per_triplet_graphs(self, mode, dropout_p):
+        store = make_store(d=6, s=2, n=8, seed=21)
+        bb = StoreBackbone(store, rank=3, alpha=0.7, dropout_p=dropout_p, seed=22)
+        bb.adapter.b[...] = np.random.default_rng(23).normal(scale=0.5, size=bb.adapter.b.shape)
+        # ids repeat within the batch, in the same role and across roles, and
+        # first appear out of store order
+        batch = [
+            TripletEntry(*(f"img{i}" for i in ids), y)
+            for ids, y in (((5, 1, 2), 1), ((1, 0, 3), 0), ((2, 4, 1), 1), ((0, 6, 7), 0),
+                           ((5, 7, 0), 0))
+        ]
+        cfg = AlignmentConfig(margin=0.5, feature_mode=mode)
+        rngs = [np.random.default_rng(24) if dropout_p else None for _ in range(2)]
+        loss, grads = batch_loss_and_grads(bb, batch, cfg, rngs[0])
+        want_loss, want = per_triplet_step(bb, batch, cfg, rngs[1])
+        assert want_loss > 0.0
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for name, g in want.items():
+            assert np.abs(g).max() > 0.0
+            np.testing.assert_allclose(grads[name], g, rtol=1e-12)
+
+    def test_all_inactive_batch_has_zero_gradient(self):
+        store = make_store(d=6, s=2, n=6, seed=25)
+        bb = StoreBackbone(store, rank=3, seed=26)
+        bb.adapter.b[...] = np.random.default_rng(27).normal(scale=0.5, size=bb.adapter.b.shape)
+        feats = {id: bb.feature_np(id, FeatureMode.CLS_ONLY) for id in store.ids}
+        batch, gaps = [], []
+        for ref, x0, x1 in ((0, 1, 2), (1, 2, 3), (0, 3, 1), (4, 5, 0)):
+            ref, x0, x1 = (f"img{i}" for i in (ref, x0, x1))
+            d0, d1 = (cosine_distance(feats[ref], feats[x]) for x in (x0, x1))
+            batch.append(TripletEntry(ref, x0, x1, int(d0 > d1)))  # the closer one wins
+            gaps.append(abs(d0 - d1))
+        loss, grads = batch_loss_and_grads(bb, batch, AlignmentConfig(margin=0.5 * min(gaps)))
+        assert loss == 0.0
+        for g in grads.values():
+            np.testing.assert_array_equal(g, 0.0)
 
     def test_patch_mode_without_patches(self):
         store = make_store(d=4, s=0)

@@ -20,7 +20,7 @@ from palign.data import (
     save_manifest,
     save_store,
 )
-from palign.dense import DenseTarget, save_target
+from palign.dense import DenseTarget, load_target, save_target
 
 
 def run(*argv) -> int:
@@ -322,7 +322,7 @@ BASE_ARGV = {
 SAMPLE_TEXT = {
     cli.positive: "7",
     cli.nonnegative: "7",
-    float: "0.375",
+    cli.finite: "0.375",
     str: "x",
     cli.int_list: "2,4",
     cli.float_list: "0.5,2",
@@ -586,11 +586,21 @@ def test_int_options_at_zero_and_minus_one_fail_clean(tiny_world, tmp_path, caps
         ("align", None, ["--max-steps", 0], 2, "invalid positive value"),
         ("align", None, ["--config", "max_steps=0"], 1, "bad value '0' for max_steps"),
         ("ablate", None, ["--steps", "0,3"], 1, "max_steps must be >= 1, got 0"),
+        ("align", None, ["--lr", "nan"], 2, "invalid finite value: 'nan'"),
+        ("align", None, ["--margin", "nan"], 2, "invalid finite value: 'nan'"),
+        ("align", None, ["--lora-alpha", "inf"], 2, "invalid finite value: 'inf'"),
+        ("synth", None, ["--noise", "nan"], 2, "invalid finite value: 'nan'"),
+        ("eval", "depth", ["--lr", "inf"], 2, "invalid finite value: 'inf'"),
+        ("eval", "depth", ["--depth-range", "0.1,inf"], 2, "invalid float_pair value"),
+        ("eval", "probe", ["--c-grid", "1,nan"], 2, "invalid float_list value"),
+        ("align", None, ["--config", "lr=nan"], 1, "bad value 'nan' for lr"),
     ],
     ids=[
         "align-seed", "synth-seed", "eval-lora-rank", "align-lora-rank", "seg-batch-neg",
         "depth-batch-0", "seg-config-batch-0", "count-k-0", "count-k-n-train",
         "probe-val-frac-1", "align-max-steps-0", "align-config-max-steps-0", "ablate-steps-0",
+        "align-lr-nan", "align-margin-nan", "align-alpha-inf", "synth-noise-nan",
+        "depth-lr-inf", "depth-range-inf", "probe-c-grid-nan", "align-config-lr-nan",
     ],
 )
 def test_out_of_range_settings_fail_clean(
@@ -634,6 +644,35 @@ def test_out_of_range_floats_fail_clean(
     )
     assert code == 1
     assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan")], ids=["zero", "nan"])
+def test_bad_training_depth_fails_clean(tiny_world, tmp_path, capsys, bad):
+    # one image of the head's training split gets a bad depth inside its mask
+    src = tiny_world / "depth"
+    ids = [id for id in load_store(tiny_world / "store.paln").ids if (src / f"{id}.palt").exists()]
+    train, _ = cli._split_counts(len(ids), 0.8, 0)
+    targets = tmp_path / "depth"
+    targets.mkdir()
+    for i, id in enumerate(ids):
+        target, _ = load_target(src / f"{id}.palt")
+        if i == train[0]:
+            target.values[1, 2] = bad
+        save_target(target, targets / f"{id}.palt", "depth")
+    argv = [*tiny_argv(tiny_world, "eval", "depth"), "--targets", targets, "--out", tmp_path / "o"]
+    code, err = run_captured(capsys, *argv)
+    assert code == 1
+    assert err.strip().splitlines() == [
+        "error: nonpositive or non-finite target depth inside the valid mask"
+    ]
+
+
+def test_probe_labels_naming_no_store_id_fail_clean(tiny_world, tmp_path, capsys):
+    save_labels({"nowhere1": "a", "nowhere2": "b"}, tmp_path / "labels.csv")
+    argv = [*tiny_argv(tiny_world, "eval", "probe"), "--labels", tmp_path / "labels.csv"]
+    code, err = run_captured(capsys, *argv, "--out", tmp_path / "o")
+    assert code == 1
+    assert err.strip().splitlines() == ["error: no labeled ids found in the store"]
 
 
 def test_lying_store_count_fails_clean(world_dir, tmp_path, capsys):

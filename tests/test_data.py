@@ -427,3 +427,7 @@ class TestSyntheticGenerator:
     def test_invalid_spec(self):
         with pytest.raises(DataError):
             SyntheticFactorSpec(n_triplets=5, noise_sigma=-1.0)
+
+    def test_nan_noise_rejected(self):
+        with pytest.raises(DataError, match="noise_sigma must be >= 0"):
+            SyntheticFactorSpec(n_triplets=5, noise_sigma=float("nan"))

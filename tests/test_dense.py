@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from palign.autodiff import Tensor, softmax
 from palign.dense import (
     DenseTarget,
     DepthBinning,
     DepthHead,
     HeadHyper,
     SegHead,
+    _downsample_target,
+    _head_inputs,
+    _head_loss,
+    _jaccard_graph,
+    _silog_graph,
+    _token_index_map,
     depth_decode,
     depth_encode,
     eval_depth,
@@ -228,6 +235,56 @@ def planted_seg_world(rng, n_images, s, d, n_classes, margin=0.5, held_out=10):
     )
 
 
+def batch_and_per_image(task, resolution, s=4, d=5, n_out=6):
+    """One head batch that mixes 8x8 and 6x10 targets with random masks, as
+    (loss, [gW, gb]) from the batched graph, the same from per-image graphs
+    (token logits gathered to the valid pixels, softmax per pixel, the B = 1
+    loss graph; mean over images), and the mean of the public per-image
+    jaccard_loss / silog_loss."""
+    rng = np.random.default_rng(30)
+    weight, bias = rng.normal(size=(n_out, d)), rng.normal(size=n_out)
+    binning = DepthBinning(d_min=0.5, d_max=8.0, n_bins=n_out)
+    features, targets = [], []
+    for i in range(5):
+        h, w = ((8, 8), (6, 10))[i % 2]
+        mask = rng.random((h, w)) > 0.3
+        mask[0, 0] = True
+        values = rng.integers(0, n_out, (h, w)) if task == "seg" else rng.uniform(0.6, 7.5, (h, w))
+        features.append(rng.normal(size=(s, s, d)))
+        targets.append(DenseTarget(values, mask))
+
+    leaves = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+    tokens, pixels = _head_inputs(features, targets, task, resolution, n_out)
+    loss = _head_loss(task, *leaves, tokens, pixels, [3, 0, 4, 1, 2], binning)
+    loss.backward()
+
+    oracle = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+    total, public = 0.0, 0.0
+    for feat, target in zip(features, targets):
+        if resolution == "downsample":
+            target = _downsample_target(target, s, task)
+        h, w = target.values.shape
+        token_logits = Tensor(feat.reshape(s * s, d)) @ oracle[0].T + oracle[1]
+        mask = target.valid_mask.reshape(-1)
+        probs = softmax(token_logits[_token_index_map(s, h, w)][mask], axis=-1)
+        truth = target.values.reshape(-1)[mask]
+        probs_np = np.exp(token_logits.data - token_logits.data.max(-1, keepdims=True))
+        probs_np = (probs_np / probs_np.sum(-1, keepdims=True))[_token_index_map(s, h, w)]
+        if task == "seg":
+            onehot = np.eye(n_out)[truth][None]
+            total = total + _jaccard_graph(probs.reshape(1, len(truth), n_out), onehot)[0]
+            public += jaccard_loss(probs_np.reshape(h, w, n_out), target)
+        else:
+            depth = (probs @ Tensor(binning.centers.reshape(-1, 1))).reshape(1, -1)
+            valid = np.ones((1, len(truth)))
+            total = total + _silog_graph(depth, truth[None], valid, 1e-3, 0.15, 1.0)[0]
+            public += silog_loss((probs_np @ binning.centers).reshape(h, w), target)
+    want = total / float(len(features))
+    want.backward()
+    return (float(loss.data), [t.grad for t in leaves], float(want.data),
+            [t.grad for t in oracle], public / len(features))
+
+
 class TestTrainHead:
     def test_planted_seg_recovery(self):
         rng = np.random.default_rng(8)
@@ -259,6 +316,28 @@ class TestTrainHead:
     def test_nonpositive_lr_rejected(self, lr):
         with pytest.raises(DataError, match="lr must be > 0"):
             HeadHyper(lr=lr)
+
+    def test_infinite_lr_rejected(self):
+        with pytest.raises(DataError, match="lr must be finite"):
+            HeadHyper(lr=float("inf"))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_training_depth_rejected_before_training(self, bad):
+        rng = np.random.default_rng(29)
+        depth = rng.uniform(1.0, 5.0, size=(4, 4))
+        depth[1, 2] = bad
+        targets = [full_mask(rng.uniform(1.0, 5.0, size=(4, 4))), full_mask(depth)]
+        with pytest.raises(DataError, match="nonpositive or non-finite target depth"):
+            train_linear_head("depth", [rng.normal(size=(2, 2, 3))] * 2, targets, HeadHyper())
+
+    @pytest.mark.parametrize("resolution", ["upsample", "downsample"])
+    @pytest.mark.parametrize("task", ["seg", "depth"])
+    def test_batch_loss_matches_per_image_oracles(self, task, resolution):
+        loss, grads, want_loss, want_grads, public_mean = batch_and_per_image(task, resolution)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert loss == pytest.approx(public_mean, rel=1e-12)
+        for g, want in zip(grads, want_grads):
+            np.testing.assert_allclose(g, want, rtol=1e-12)
 
     def test_depth_head_trains(self):
         rng = np.random.default_rng(10)
