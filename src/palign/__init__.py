@@ -18,7 +18,6 @@ from .alignment import (
     two_afc_accuracy,
 )
 from .backbone import (
-    FeatureBundle,
     FeatureMode,
     LoraAdapter,
     StoreBackbone,
@@ -26,8 +25,6 @@ from .backbone import (
     ToyEncoderBackbone,
     ToyEncoderConfig,
     ToyEncoderParams,
-    assemble_features,
-    encode,
     load_adapters,
     lora_effective_weight,
     save_adapters,

@@ -10,6 +10,11 @@ Only low-rank adapter matrices train; everything else stays frozen. Each
 step is one autodiff graph over its batch, scored by the same function as
 the validation pass. Losses and gradients accumulate in float64 in a fixed
 order, so reruns are bit-reproducible and finite differences meaningful.
+
+`AlignmentConfig` holds the optimization settings only. The adapters' rank,
+alpha and dropout are the backbone's: training draws LoRA dropout masks from
+a stream seeded by `config.seed` whenever the adapters' `dropout_p` is
+nonzero.
 """
 
 from __future__ import annotations
@@ -67,9 +72,6 @@ class AlignmentConfig:
     epochs: int = 8
     feature_mode: FeatureMode = FeatureMode.CLS_ONLY
     seed: int = 0
-    lora_rank: int = 16
-    lora_alpha: float = 0.5
-    lora_dropout: float = 0.0
     max_steps: int | None = None  # optional cap for step-count ablations
 
     def __post_init__(self):
@@ -90,27 +92,6 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class TrainState:
-    """Optimizer moments plus the best-validation checkpoint seen so far."""
-
-    adam: AdamState = field(default_factory=AdamState)
-    best_val_loss: float = float("inf")
-    best_snapshot: dict[str, np.ndarray] | None = None
-
-    @property
-    def step(self) -> int:
-        return self.adam.step
-
-    def consider(self, val_loss: float, snapshot: dict[str, np.ndarray]) -> bool:
-        """Record the snapshot iff it strictly improves validation loss."""
-        if val_loss < self.best_val_loss:
-            self.best_val_loss = val_loss
-            self.best_snapshot = snapshot
-            return True
-        return False
 
 
 def adam_step(
@@ -246,12 +227,9 @@ def train_alignment(
         return backbone.snapshot(), []
 
     shuffle_rng = np.random.default_rng(config.seed)
-    dropout_rng = (
-        np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-        if config.lora_dropout > 0
-        else None
-    )
-    state = TrainState()
+    # the adapters' own dropout_p decides whether this stream is drawn from
+    dropout_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    adam = AdamState()
     entries = list(train)
 
     def evaluate(epoch: int, train_loss: float | None) -> dict:
@@ -264,7 +242,7 @@ def train_alignment(
         }
 
     history = [evaluate(0, None)]
-    state.consider(history[0]["val_loss"], backbone.snapshot())
+    best_loss, best = history[0]["val_loss"], backbone.snapshot()
 
     stop = False
     for epoch in range(1, config.epochs + 1):
@@ -274,17 +252,18 @@ def train_alignment(
         for start in range(0, len(entries), config.batch_size):
             batch = [entries[i] for i in perm[start : start + config.batch_size]]
             loss, grads = batch_loss_and_grads(backbone, batch, config, dropout_rng)
-            adam_step(backbone.trainable, grads, state.adam, config.lr)
+            adam_step(backbone.trainable, grads, adam, config.lr)
             epoch_loss_sum += loss * len(batch)
             epoch_count += len(batch)
-            if config.max_steps is not None and state.step >= config.max_steps:
+            if config.max_steps is not None and adam.step >= config.max_steps:
                 stop = True
                 break
         row = evaluate(epoch, epoch_loss_sum / epoch_count)
         history.append(row)
-        state.consider(row["val_loss"], backbone.snapshot())
+        if row["val_loss"] < best_loss:  # strict, so the earliest epoch wins ties
+            best_loss, best = row["val_loss"], backbone.snapshot()
         if stop:
             break
 
-    backbone.load_trainable(state.best_snapshot)
-    return state.best_snapshot, history
+    backbone.load_trainable(best)
+    return best, history

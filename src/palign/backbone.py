@@ -14,9 +14,12 @@ Two interchangeable backbones feed the alignment trainer:
 Every backbone exposes a plain-numpy featurization of one id (used by
 evaluations and finite-difference oracles) and a graph featurization of a
 list of ids as one (n, k*d) tensor over autodiff leaves (used by training,
-once per step). The store backbone's two paths share `_lora_apply`; the toy
-encoder has one forward pass, `ToyEncoder.forward_graph`, and its numpy
-path runs that pass on constant tensors.
+once per step). The store backbone's two paths share `_rows` and
+`_lora_apply`; the toy encoder's numpy path is its graph path run on
+constant leaves.
+
+LoRA rank, alpha and input dropout belong to each backbone's adapters
+(`LoraAdapter`), set when the backbone is built; training reads them there.
 
 Adapter checkpoint file: magic ``PALA``, u32 version=1, u64 count, then per
 matrix u32 name_len, name bytes, u32 rows, u32 cols, rows*cols float32 LE.
@@ -44,12 +47,6 @@ LORA_A_INIT_STD = 0.02
 class FeatureMode(enum.Enum):
     CLS_ONLY = "cls"
     CLS_PLUS_POOLED_PATCH = "patch"
-
-
-@dataclass
-class FeatureBundle:
-    cls: np.ndarray
-    patch: np.ndarray | None = None
 
 
 @dataclass
@@ -107,16 +104,6 @@ def lora_effective_weight(base: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
     return base + adapter.delta()
 
 
-def assemble_features(bundle: FeatureBundle, mode: FeatureMode) -> np.ndarray:
-    """CLS alone, or CLS and the patch grid's spatial mean, per stacked record."""
-    if mode is FeatureMode.CLS_ONLY:
-        return np.array(bundle.cls, dtype=np.float64)
-    if bundle.patch is None:
-        raise DataError("feature mode needs patch tokens but the record has none")
-    pooled = bundle.patch.astype(np.float64).mean(axis=(-3, -2))
-    return np.concatenate([np.asarray(bundle.cls, dtype=np.float64), pooled], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # adapter checkpoint I/O
 # ---------------------------------------------------------------------------
@@ -159,7 +146,8 @@ def load_adapters(path) -> dict[str, np.ndarray]:
 
 
 def _dropped(x, p: float, rng, shape):
-    """x times a LoRA input-dropout mask of `shape`; x when p is 0 or rng None."""
+    """x times a LoRA input-dropout mask of `shape`; x itself, with nothing drawn
+    from rng, when p is 0 or rng is None."""
     if p <= 0.0 or rng is None:
         return x
     return x * ((rng.random(shape) >= p) / (1.0 - p))
@@ -227,9 +215,12 @@ class StoreBackbone(_Trainable):
     def _rows(self, ids: list[str], mode: FeatureMode) -> np.ndarray:
         """(len(ids), k, d) float64 rows: CLS, and in patch mode the pooled patch."""
         store, rows = self.store, [self.store.row(id) for id in ids]
-        patch = None if store.patch is None else store.patch[rows]
-        bundle = FeatureBundle(cls=store.cls[rows], patch=patch)
-        return assemble_features(bundle, mode).reshape(len(ids), -1, store.dim)
+        parts = [store.cls[rows].astype(np.float64)]
+        if mode is FeatureMode.CLS_PLUS_POOLED_PATCH:
+            if store.patch is None:
+                raise DataError("feature mode needs patch tokens but the record has none")
+            parts.append(store.patch[rows].astype(np.float64).mean(axis=(1, 2)))
+        return np.stack(parts, axis=1)
 
     def adapt(self, x: np.ndarray) -> np.ndarray:
         """The adapted projection applied along x's last axis; the exact
@@ -337,21 +328,6 @@ class ToyEncoder:
     def __init__(self, params: ToyEncoderParams):
         self.params = params
 
-    def forward_np(self, x: np.ndarray) -> FeatureBundle:
-        """One (s, s, d_in) input: the batch forward at b = 1."""
-        cls, patch = self.forward_np_batch(np.asarray(x)[None])
-        return FeatureBundle(cls=cls[0], patch=patch[0])
-
-    def forward_np_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """forward_graph with the current adapters as constants; returns
-        (cls (b, d), patch (b, s, s, d)) arrays."""
-        leaves = {}
-        for name, adapter in self.params.adapters.items():
-            leaves[f"{name}.a"] = Tensor(adapter.a)
-            leaves[f"{name}.b"] = Tensor(adapter.b)
-        cls, patch = self.forward_graph(np.asarray(xs), leaves)
-        return cls.data, patch.data
-
     def forward_graph(
         self, xs: np.ndarray, leaves: dict[str, Tensor], dropout_rng=None
     ) -> tuple[Tensor, Tensor]:
@@ -392,11 +368,6 @@ class ToyEncoder:
         return Tensor(base) + adapter.scale * (b @ a)
 
 
-def encode(params: ToyEncoderParams, x: np.ndarray) -> FeatureBundle:
-    """Deterministic evaluation-mode forward pass (dropout inactive)."""
-    return ToyEncoder(params).forward_np(np.asarray(x, dtype=np.float64))
-
-
 class ToyEncoderBackbone(_Trainable):
     """Trainer-facing wrapper: store records are raw encoder inputs."""
 
@@ -428,8 +399,9 @@ class ToyEncoderBackbone(_Trainable):
         return self.store.patch[rows].astype(np.float64)
 
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
-        bundle = self.encoder.forward_np(self._inputs([id])[0])
-        return assemble_features(bundle, mode)
+        """feature_graph of one id over the current adapters as constants."""
+        leaves = {name: Tensor(arr) for name, arr in self.trainable.items()}
+        return self.feature_graph([id], mode, leaves).data[0]
 
     def feature_graph(
         self, ids: list[str], mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None

@@ -35,12 +35,14 @@ from .data import (
     load_labels,
     load_manifest,
     load_store,
+    read_text,
     save_labels,
     save_manifest,
     save_store,
     split_manifest,
 )
 from .dense import (
+    DEPTH_BATCH_SIZE,
     DepthBinning,
     HeadHyper,
     eval_depth,
@@ -58,9 +60,6 @@ from .retrieval import (
     linear_probe_classify,
     recall_at_k,
 )
-
-_MODES = {"cls": FeatureMode.CLS_ONLY, "patch": FeatureMode.CLS_PLUS_POOLED_PATCH}
-
 
 # ---------------------------------------------------------------------------
 # option declarations
@@ -207,12 +206,8 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
 def _load_config_file(path: str, options) -> dict:
     """Flat key=value file, each value parsed like its flag; unknown keys are rejected."""
     by_name = {opt.name: opt for opt in options}
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file ({exc})") from None
     out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -294,12 +289,12 @@ def _backbone_for(store, config: dict) -> StoreBackbone:
 
 def _featurizer(store, config: dict):
     bb = _backbone_for(store, config)
-    mode = _MODES[config["feature_mode"]]
+    mode = FeatureMode(config["feature_mode"])
     return lambda id: bb.feature_np(id, mode)
 
 
 def _read_id_list(path: str) -> list[str]:
-    ids = [line.strip() for line in Path(path).read_text().splitlines()]
+    ids = [line.strip() for line in read_text(path).splitlines()]
     return [id for id in ids if id]
 
 
@@ -376,11 +371,8 @@ def _align_config(config: dict) -> AlignmentConfig:
         lr=config["lr"],
         batch_size=config["batch"],
         epochs=config["epochs"],
-        feature_mode=_MODES[config["feature_mode"]],
+        feature_mode=FeatureMode(config["feature_mode"]),
         seed=config["seed"],
-        lora_rank=config["lora_rank"],
-        lora_alpha=config["lora_alpha"],
-        lora_dropout=config["lora_dropout"],
         max_steps=config.get("max_steps"),
     )
 
@@ -400,7 +392,7 @@ def cmd_align(args, config) -> int:
     store = load_store(args.store)
     manifest = load_manifest(args.manifest)
     if args.val_manifest:
-        train, val = manifest, load_manifest(args.val_manifest, split_tag="val")
+        train, val = manifest, load_manifest(args.val_manifest)
     else:
         train, val = _split(manifest, config)
     cfg = _align_config(config)
@@ -474,7 +466,8 @@ def _eval_dense(args, config, store) -> dict:
         raise DataError(f"--train-frac must be in (0, 1), got {config['train_frac']}")
     features, targets = _dense_inputs(args, config, store)
     if args.task == "seg":
-        head = {"n_classes": max(int(t.values.max()) for t in targets) + 1}
+        # valid pixels only: an ignore label such as 255 names no class
+        head = {"n_classes": max(int(t.values[t.valid_mask].max(initial=0)) for t in targets) + 1}
     else:
         lo, hi = _floats(config["depth_range"])
         binning = DepthBinning(d_min=lo, d_max=hi, n_bins=config["bins"])
@@ -482,7 +475,7 @@ def _eval_dense(args, config, store) -> dict:
     tr, te = _split_counts(len(features), config["train_frac"], config["seed"])
     batch = config["batch"]
     if batch is None:
-        batch = 16 if args.task == "seg" else 128
+        batch = HeadHyper.batch_size if args.task == "seg" else DEPTH_BATCH_SIZE
     hyper = HeadHyper(
         lr=config["lr"],
         epochs=config["epochs"],
@@ -572,7 +565,7 @@ def cmd_eval(args, config) -> int:
 
 
 def _ablate_eval(task, backbone, args, config) -> dict:
-    mode = _MODES[config["feature_mode"]]
+    mode = FeatureMode(config["feature_mode"])
     if task == "retrieval":
         if not args.eval_labels or not args.eval_queries:
             raise DataError("retrieval task needs --eval-labels and --eval-queries")

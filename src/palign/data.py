@@ -18,6 +18,7 @@ Label file: CSV with header ``id,label``.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import os
 import struct
@@ -32,9 +33,6 @@ log = logging.getLogger(__name__)
 
 STORE_MAGIC = b"PALN"
 STORE_VERSION = 1
-
-SPLIT_TAGS = ("train", "val", "test", "unsplit")
-
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -109,11 +107,6 @@ class TripletManifest:
     """Similarity judgments: y names which of (x0, x1) is closer to ref."""
 
     entries: list[TripletEntry] = field(default_factory=list)
-    split_tag: str = "unsplit"
-
-    def __post_init__(self):
-        if self.split_tag not in SPLIT_TAGS:
-            raise DataError(f"split_tag must be one of {SPLIT_TAGS}, got {self.split_tag!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -235,26 +228,35 @@ def load_store(path) -> EmbeddingStore:
 _MANIFEST_HEADER = ["ref", "x0", "x1", "y"]
 
 
-def load_manifest(path, split_tag: str = "unsplit") -> TripletManifest:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty manifest file") from None
-        if header != _MANIFEST_HEADER:
-            raise FormatError(f"manifest header {header} != {_MANIFEST_HEADER}")
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"line {lineno}: expected 4 columns, got {len(row)}")
-            ref, x0, x1, y_raw = row
-            if y_raw not in ("0", "1"):
-                raise FormatError(f"line {lineno}: y must be 0 or 1, got {y_raw!r}")
-            entries.append(TripletEntry(ref=ref, x0=x0, x1=x1, y=int(y_raw)))
-    manifest = TripletManifest(entries=entries, split_tag=split_tag)
+def read_text(path) -> str:
+    """The whole file as UTF-8 text, line endings untranslated; FormatError
+    naming the file if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def load_manifest(path) -> TripletManifest:
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("empty manifest file") from None
+    if header != _MANIFEST_HEADER:
+        raise FormatError(f"manifest header {header} != {_MANIFEST_HEADER}")
+    entries = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise FormatError(f"line {lineno}: expected 4 columns, got {len(row)}")
+        ref, x0, x1, y_raw = row
+        if y_raw not in ("0", "1"):
+            raise FormatError(f"line {lineno}: y must be 0 or 1, got {y_raw!r}")
+        entries.append(TripletEntry(ref=ref, x0=x0, x1=x1, y=int(y_raw)))
+    manifest = TripletManifest(entries=entries)
     dupes = manifest.duplicate_row_count()
     if dupes:
         log.warning("manifest %s: %d repeated (ref,x0,x1) rows kept as-is", path, dupes)
@@ -269,24 +271,23 @@ def save_manifest(manifest: TripletManifest, path) -> None:
 
 
 def load_labels(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty label file") from None
-        if header != ["id", "label"]:
-            raise FormatError(f"label header {header} != ['id', 'label']")
-        labels: dict[str, str] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"line {lineno}: expected 2 columns, got {len(row)}")
-            id, label = row
-            if id in labels:
-                raise FormatError(f"line {lineno}: duplicate id {id!r}")
-            labels[id] = label
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("empty label file") from None
+    if header != ["id", "label"]:
+        raise FormatError(f"label header {header} != ['id', 'label']")
+    labels: dict[str, str] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise FormatError(f"line {lineno}: expected 2 columns, got {len(row)}")
+        id, label = row
+        if id in labels:
+            raise FormatError(f"line {lineno}: duplicate id {id!r}")
+        labels[id] = label
     return labels
 
 
@@ -365,10 +366,7 @@ def split_manifest(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     picks = [perm[: sizes[0]], perm[sizes[0] : sizes[0] + sizes[1]], perm[sizes[0] + sizes[1] :]]
-    out = []
-    for tag, idx in zip(("train", "val", "test"), picks):
-        out.append(TripletManifest(entries=[manifest.entries[i] for i in idx], split_tag=tag))
-    return tuple(out)
+    return tuple(TripletManifest(entries=[manifest.entries[i] for i in idx]) for idx in picks)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,9 @@ def evaluate_rag(
     queries: dict[str, np.ndarray],
     query_labels: dict[str, str],
     k: int = 3,
-    oracle=majority_label_oracle,
 ) -> dict:
-    """Classification accuracy of an oracle fed retrieved example bundles."""
+    """Classification accuracy of `majority_label_oracle` fed retrieved example
+    bundles."""
     if not queries:
         raise DataError("queries must be non-empty")
     bundles = []
@@ -284,7 +284,7 @@ def evaluate_rag(
     for qid, vec in queries.items():
         bundle = select_rag_examples(index, qid, vec, gallery_labels, k)
         bundles.append(bundle)
-        if oracle(bundle) == query_labels[qid]:
+        if majority_label_oracle(bundle) == query_labels[qid]:
             correct += 1
     return {"accuracy": correct / len(queries), "bundles": bundles}
 

@@ -22,6 +22,7 @@ from palign.alignment import (
     train_alignment,
     two_afc_accuracy,
 )
+from palign.autodiff import Tensor
 from palign.backbone import (
     FeatureMode,
     LoraAdapter,
@@ -92,8 +93,10 @@ def test_criterion_1_gradient_correctness():
     xs = store.patch[[store.row(id) for id in ids]].astype(np.float64)
 
     def loss_now():
-        # one vectorized forward over every id; CLS + pooled patch, as the mode asks
-        cls, patch = backbone.encoder.forward_np_batch(xs)
+        # one vectorized forward over every id, on constant leaves holding the
+        # current adapters; CLS + pooled patch, as the mode asks
+        leaves = {name: Tensor(arr) for name, arr in backbone.trainable.items()}
+        cls, patch = (t.data for t in backbone.encoder.forward_graph(xs, leaves))
         feats = dict(zip(ids, np.concatenate([cls, patch.mean(axis=(1, 2))], axis=1)))
         total = 0.0
         for e in batch:

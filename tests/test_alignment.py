@@ -26,6 +26,7 @@ from palign.backbone import (
     ToyEncoderConfig,
     ToyEncoderParams,
 )
+from palign.cli import OPTIONS
 from palign.data import (
     EmbeddingStore,
     SyntheticFactorSpec,
@@ -422,6 +423,16 @@ class TestTrainAlignment:
         with pytest.raises(DataError, match="max_steps must be >= 1"):
             AlignmentConfig(max_steps=max_steps)
 
+    def test_backbone_dropout_applies_under_default_config(self):
+        store, train, val = self.world(n=200, seed=4)
+        snaps = {}
+        for p in (0.0, 0.3):
+            bb = StoreBackbone(store, rank=4, dropout_p=p, seed=1)
+            snaps[p], history = train_alignment(AlignmentConfig(epochs=2, seed=3), bb, train, val)
+            assert min(history, key=lambda h: h["val_loss"])["epoch"] > 0
+        assert not np.array_equal(snaps[0.0]["proj.b"], snaps[0.3]["proj.b"])
+        assert not np.array_equal(snaps[0.0]["proj.a"], snaps[0.3]["proj.a"])
+
     def test_max_steps_cuts_training(self):
         store, train, val = self.world(n=100, seed=8)
         bb = StoreBackbone(store, rank=4, seed=1)
@@ -457,6 +468,11 @@ class TestTrainAlignment:
         assert cfg.lr == 3e-4
         assert cfg.batch_size == 16
         assert cfg.epochs == 8
-        assert cfg.lora_rank == 16
-        assert cfg.lora_alpha == 0.5
-        assert cfg.lora_dropout == 0.0
+        # the LoRA settings live on the backbone, and the CLI passes its own
+        adapter = StoreBackbone(store_of({"a": [1.0, 0.0]})).adapter
+        assert (adapter.rank, adapter.alpha, adapter.dropout_p) == (16, 0.5, 0.0)
+        for command in ("align", "eval", "ablate"):
+            defaults = {opt.name: opt.default for opt in OPTIONS[command]}
+            assert defaults["lora_rank"] == 16
+            assert defaults["lora_alpha"] == 0.5
+            assert defaults["lora_dropout"] == 0.0

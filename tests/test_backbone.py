@@ -9,7 +9,6 @@ import pytest
 from palign.alignment import AlignmentConfig, batch_loss_and_grads, cosine_distance
 from palign.autodiff import Tensor
 from palign.backbone import (
-    FeatureBundle,
     FeatureMode,
     LoraAdapter,
     StoreBackbone,
@@ -18,8 +17,6 @@ from palign.backbone import (
     ToyEncoderConfig,
     ToyEncoderParams,
     _lora_apply,
-    assemble_features,
-    encode,
     load_adapters,
     lora_effective_weight,
     save_adapters,
@@ -142,35 +139,40 @@ class TestLoraEffectiveWeight:
             LoraAdapter.create(d_in=4, d_out=4, rank=2, alpha=float("inf"), rng=rng)
 
 
+def one_record(cls, patch=None) -> StoreBackbone:
+    """A store backbone over the single record "a" at B = 0, where the adapter
+    is the exact identity, so features are the assembled stored rows."""
+    patch = None if patch is None else np.asarray(patch)[None]
+    return StoreBackbone(EmbeddingStore(["a"], np.asarray(cls)[None], patch), rank=1)
+
+
 class TestAssemble:
     def test_constant_patch(self):
-        patch = np.tile(np.array([3.0, 4.0]), (2, 2, 1))
-        bundle = FeatureBundle(cls=np.array([1.0, 2.0]), patch=patch)
+        bb = one_record([1.0, 2.0], np.tile(np.array([3.0, 4.0]), (2, 2, 1)))
         np.testing.assert_array_equal(
-            assemble_features(bundle, FeatureMode.CLS_PLUS_POOLED_PATCH), [1, 2, 3, 4]
+            bb.feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH), [1, 2, 3, 4]
         )
 
     def test_mean_of_grid(self):
-        patch = np.array([[[0.0], [2.0]], [[4.0], [6.0]]])
-        bundle = FeatureBundle(cls=np.array([5.0]), patch=patch)
+        bb = one_record([5.0], [[[0.0], [2.0]], [[4.0], [6.0]]])
         np.testing.assert_array_equal(
-            assemble_features(bundle, FeatureMode.CLS_PLUS_POOLED_PATCH), [5.0, 3.0]
+            bb.feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH), [5.0, 3.0]
         )
 
     def test_cls_only_verbatim(self):
-        bundle = FeatureBundle(cls=np.array([7.0, -1.0]), patch=np.ones((2, 2, 2)))
-        np.testing.assert_array_equal(assemble_features(bundle, FeatureMode.CLS_ONLY), [7, -1])
+        bb = one_record([7.0, -1.0], np.ones((2, 2, 2)))
+        np.testing.assert_array_equal(bb.feature_np("a", FeatureMode.CLS_ONLY), [7, -1])
 
     def test_patch_mode_requires_patch(self):
-        with pytest.raises(DataError):
-            assemble_features(FeatureBundle(cls=np.ones(2)), FeatureMode.CLS_PLUS_POOLED_PATCH)
+        with pytest.raises(DataError, match="needs patch tokens"):
+            one_record(np.ones(2)).feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH)
 
     def test_concat_layout(self):
         rng = np.random.default_rng(3)
-        bundle = FeatureBundle(cls=rng.normal(size=6), patch=rng.normal(size=(3, 3, 6)))
-        out = assemble_features(bundle, FeatureMode.CLS_PLUS_POOLED_PATCH)
+        bb = one_record(rng.normal(size=6), rng.normal(size=(3, 3, 6)))
+        out = bb.feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH)
         assert out.shape == (12,)
-        np.testing.assert_array_equal(out[:6], bundle.cls)
+        np.testing.assert_array_equal(out[:6], bb.store.cls[0])
 
 
 def toy_params(seed=0, **overrides):
@@ -179,12 +181,24 @@ def toy_params(seed=0, **overrides):
     return ToyEncoderParams.random(ToyEncoderConfig(**defaults), seed=seed)
 
 
-def grad_leaves(params):
+def adapter_leaves(params, requires_grad=False):
     leaves = {}
     for name, adapter in params.adapters.items():
-        leaves[f"{name}.a"] = Tensor(adapter.a, requires_grad=True)
-        leaves[f"{name}.b"] = Tensor(adapter.b, requires_grad=True)
+        leaves[f"{name}.a"] = Tensor(adapter.a, requires_grad=requires_grad)
+        leaves[f"{name}.b"] = Tensor(adapter.b, requires_grad=requires_grad)
     return leaves
+
+
+def toy_backbone(params, x):
+    """A toy-encoder backbone over the single record "a" whose input grid is x
+    (float32, as a store holds it)."""
+    store = EmbeddingStore(["a"], np.zeros((1, params.config.d_in)), np.asarray(x)[None])
+    return ToyEncoderBackbone(store, params)
+
+
+def float32_input(rng, params):
+    cfg = params.config
+    return rng.normal(size=(cfg.s, cfg.s, cfg.d_in)).astype(np.float32).astype(np.float64)
 
 
 def independent_forward(params, x):
@@ -222,44 +236,46 @@ def independent_forward(params, x):
 class TestToyEncoder:
     def test_deterministic(self):
         params = toy_params()
-        x = np.random.default_rng(1).normal(size=(2, 2, 3))
-        b1 = encode(params, x)
-        b2 = encode(params, x)
-        np.testing.assert_array_equal(b1.cls, b2.cls)
-        np.testing.assert_array_equal(b1.patch, b2.patch)
+        bb = toy_backbone(params, float32_input(np.random.default_rng(1), params))
+        f1 = bb.feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH)
+        f2 = bb.feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH)
+        np.testing.assert_array_equal(f1, f2)
 
     def test_output_shapes(self):
         params = toy_params()
-        x = np.zeros((2, 2, 3))
-        bundle = encode(params, x)
-        assert bundle.cls.shape == (16,)
-        assert bundle.patch.shape == (2, 2, 16)
+        enc = ToyEncoder(params)
+        cls, patch = enc.forward_graph(np.zeros((1, 2, 2, 3)), adapter_leaves(params))
+        assert cls.shape == (1, 16)
+        assert patch.shape == (1, 2, 2, 16)
 
     def test_zero_adapters_match_independent_frozen_forward(self):
         params = toy_params(seed=4)
-        cfg = params.config
-        x = np.random.default_rng(9).normal(size=(cfg.s, cfg.s, cfg.d_in))
+        x = float32_input(np.random.default_rng(9), params)
         toks = independent_forward(params, x)
-        bundle = encode(params, x)
-        np.testing.assert_allclose(bundle.cls, toks[0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(bundle.patch.reshape(-1, 16), toks[1:], rtol=1e-12, atol=1e-12)
+        cls, patch = ToyEncoder(params).forward_graph(x[None], adapter_leaves(params))
+        np.testing.assert_allclose(cls.data[0], toks[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(patch.data[0].reshape(-1, 16), toks[1:], rtol=1e-12, atol=1e-12)
+        feat = toy_backbone(params, x).feature_np("a", FeatureMode.CLS_ONLY)
+        np.testing.assert_allclose(feat, toks[0], rtol=1e-12, atol=1e-12)
 
     def test_graph_matches_numpy_with_nonzero_adapters(self):
         # the training path (gradient-carrying leaves) and the numpy path
-        # both against the raw-numpy oracle
+        # (feature_np, on constant leaves) both against the raw-numpy oracle
         params = toy_params(seed=5)
         rng = np.random.default_rng(6)
         for adapter in params.adapters.values():
             adapter.b[...] = rng.normal(scale=0.3, size=adapter.b.shape)
             adapter.a[...] = rng.normal(scale=0.3, size=adapter.a.shape)
-        enc = ToyEncoder(params)
-        x = rng.normal(size=(2, 2, 3))
+        x = float32_input(rng, params)
         toks = independent_forward(params, x)
-        cls_g, patch_g = enc.forward_graph(x[None], grad_leaves(params))
-        bundle = enc.forward_np(x)
-        for cls, patch in ((cls_g.data[0], patch_g.data[0]), (bundle.cls, bundle.patch)):
-            np.testing.assert_allclose(cls, toks[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(patch.reshape(-1, 16), toks[1:], rtol=1e-12, atol=1e-12)
+        cls_g, patch_g = ToyEncoder(params).forward_graph(x[None], adapter_leaves(params, True))
+        np.testing.assert_allclose(cls_g.data[0], toks[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            patch_g.data[0].reshape(-1, 16), toks[1:], rtol=1e-12, atol=1e-12
+        )
+        feat = toy_backbone(params, x).feature_np("a", FeatureMode.CLS_PLUS_POOLED_PATCH)
+        expected = np.concatenate([toks[0], toks[1:].mean(axis=0)])
+        np.testing.assert_allclose(feat, expected, rtol=1e-12, atol=1e-12)
 
     def test_batch_matches_single_inputs(self):
         params = toy_params(seed=7)
@@ -267,7 +283,7 @@ class TestToyEncoder:
         for adapter in params.adapters.values():
             adapter.b[...] = rng.normal(scale=0.3, size=adapter.b.shape)
         enc = ToyEncoder(params)
-        leaves = grad_leaves(params)
+        leaves = adapter_leaves(params, True)
         xs = rng.normal(size=(3, 2, 2, 3))
         cls, patch = enc.forward_graph(xs, leaves)
         assert cls.shape == (3, 16) and patch.shape == (3, 2, 2, 16)
@@ -279,7 +295,7 @@ class TestToyEncoder:
     def test_input_shape_mismatch(self):
         params = toy_params()
         with pytest.raises(DataError, match="input shape"):
-            encode(params, np.zeros((3, 3, 3)))
+            ToyEncoder(params).forward_graph(np.zeros((1, 3, 3, 3)), adapter_leaves(params))
 
 
 def dense_oracle(store, adapter, id, mode):

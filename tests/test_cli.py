@@ -686,3 +686,57 @@ def test_lying_store_count_fails_clean(world_dir, tmp_path, capsys):
     assert code == 1
     assert err.strip().splitlines()[-1].startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--labels", "--queries"])
+def test_non_utf8_text_inputs_fail_clean(world_dir, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"id,label\n\xff\n")
+    store, labels = world_dir / "store.paln", world_dir / "instance_labels.csv"
+    queries = world_dir / "queries.txt"
+    argv = {
+        "--manifest": ["align", "--store", store, "--manifest", bad, "--epochs", 1],
+        "--labels": ["eval", "retrieval", "--store", store, "--labels", bad, "--queries", queries],
+        "--queries": ["eval", "retrieval", "--store", store, "--labels", labels, "--queries", bad],
+    }[flag]
+    code, err = run_captured(capsys, *argv, "--out", tmp_path / "o")
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def _masked_seg_targets(w: Path, out: Path, fill=None, empty=None) -> Path:
+    """tiny_world's seg targets with about a third of each image's pixels
+    masked out. Masked pixels hold `fill`, or keep their class when it is None;
+    the image at index `empty` loses its whole mask."""
+    rng = np.random.default_rng(1)
+    out.mkdir()
+    for i, path in enumerate(sorted((w / "seg").iterdir())):
+        target, _ = load_target(path)
+        mask = rng.random(target.values.shape) > 0.3
+        mask[0, 0] = True
+        if i == empty:
+            mask[...] = False
+        values = target.values.copy()
+        if fill is not None:
+            values[~mask] = fill
+        save_target(DenseTarget(values, mask), out / path.name, "seg")
+    return out
+
+
+def test_seg_head_ignores_labels_of_masked_pixels(tiny_world, tmp_path):
+    metrics = []
+    for fill in (None, 255):  # 255: a common ignore label
+        targets = _masked_seg_targets(tiny_world, tmp_path / f"seg-{fill}", fill)
+        out = tmp_path / f"out-{fill}"
+        assert run(*tiny_argv(tiny_world, "eval", "seg"), "--targets", targets, "--out", out) == 0
+        metrics.append(report_of(out)["metrics"])
+    assert metrics[0] == metrics[1]
+
+
+def test_seg_image_with_empty_mask_fails_clean(tiny_world, tmp_path, capsys):
+    targets = _masked_seg_targets(tiny_world, tmp_path / "seg", empty=0)
+    argv = [*tiny_argv(tiny_world, "eval", "seg"), "--targets", targets, "--out", tmp_path / "o"]
+    code, err = run_captured(capsys, *argv)
+    assert code == 1
+    assert err.strip().splitlines() == ["error: empty valid mask"]

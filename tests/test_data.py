@@ -326,7 +326,6 @@ class TestSplit:
     def test_rounding(self):
         tr, va, te = split_manifest(self.make(10), (0.8, 0.1, 0.1), seed=0)
         assert (len(tr), len(va), len(te)) == (8, 1, 1)
-        assert (tr.split_tag, va.split_tag, te.split_tag) == ("train", "val", "test")
 
     def test_partition(self):
         m = self.make(23)
