@@ -257,7 +257,6 @@ class ToyEncoderConfig:
     mlp_ratio: int = 2
     lora_rank: int = 16
     lora_alpha: float = 0.5
-    lora_dropout: float = 0.0
 
     def __post_init__(self):
         if self.d_model % self.n_heads:
@@ -305,12 +304,7 @@ class ToyEncoderParams:
             )
             for proj in ("q", "v"):
                 adapters[f"layer{i}.{proj}"] = LoraAdapter.create(
-                    d_in=d,
-                    d_out=d,
-                    rank=config.lora_rank,
-                    alpha=config.lora_alpha,
-                    rng=rng,
-                    dropout_p=config.lora_dropout,
+                    d_in=d, d_out=d, rank=config.lora_rank, alpha=config.lora_alpha, rng=rng
                 )
         return cls(
             config=config,
@@ -328,9 +322,7 @@ class ToyEncoder:
     def __init__(self, params: ToyEncoderParams):
         self.params = params
 
-    def forward_graph(
-        self, xs: np.ndarray, leaves: dict[str, Tensor], dropout_rng=None
-    ) -> tuple[Tensor, Tensor]:
+    def forward_graph(self, xs: np.ndarray, leaves: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
         """Forward over a batch (b, s, s, d_in) with adapter matrices taken
         from `leaves`. Returns (cls (b, d), patch (b, s, s, d))."""
         p = self.params
@@ -346,8 +338,8 @@ class ToyEncoder:
         n = tokens.shape[1]
         for i, layer in enumerate(p.layers):
             h = layer_norm(tokens)
-            wq = self._adapted_graph(layer.wq, f"layer{i}.q", leaves, dropout_rng)
-            wv = self._adapted_graph(layer.wv, f"layer{i}.v", leaves, dropout_rng)
+            wq = self._adapted_graph(layer.wq, f"layer{i}.q", leaves)
+            wv = self._adapted_graph(layer.wv, f"layer{i}.v", leaves)
             q = (h @ wq.T).reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
             k = (h @ Tensor(layer.wk.T)).reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
             v = (h @ wv.T).reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
@@ -359,13 +351,9 @@ class ToyEncoder:
         tokens = layer_norm(tokens)
         return tokens[:, 0], tokens[:, 1:].reshape(b, cfg.s, cfg.s, d)
 
-    def _adapted_graph(
-        self, base: np.ndarray, name: str, leaves: dict[str, Tensor], dropout_rng=None
-    ) -> Tensor:
-        adapter = self.params.adapters[name]
-        a = _dropped(leaves[f"{name}.a"], adapter.dropout_p, dropout_rng, (1, base.shape[1]))
-        b = leaves[f"{name}.b"]
-        return Tensor(base) + adapter.scale * (b @ a)
+    def _adapted_graph(self, base: np.ndarray, name: str, leaves: dict[str, Tensor]) -> Tensor:
+        scale = self.params.adapters[name].scale
+        return Tensor(base) + scale * (leaves[f"{name}.b"] @ leaves[f"{name}.a"])
 
 
 class ToyEncoderBackbone(_Trainable):
@@ -406,8 +394,9 @@ class ToyEncoderBackbone(_Trainable):
     def feature_graph(
         self, ids: list[str], mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None
     ) -> Tensor:
-        """(len(ids), k * d) features from one forward pass; one q/v mask per call."""
-        cls, patch = self.encoder.forward_graph(self._inputs(ids), leaves, dropout_rng)
+        """(len(ids), k * d) features from one forward pass. The toy adapters
+        carry no dropout, so `dropout_rng` is taken and ignored."""
+        cls, patch = self.encoder.forward_graph(self._inputs(ids), leaves)
         if mode is FeatureMode.CLS_ONLY:
             return cls
         return concat([cls, patch.mean(axis=(1, 2))], axis=1)

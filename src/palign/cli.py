@@ -6,9 +6,10 @@ own artifacts (stores, manifests, adapter checkpoints, history). Reports
 are byte-reproducible given identical flags and seed, except the wall_time_s
 field.
 
-Each command's settings are declared once, in OPTIONS: the argparse flags
-and the --config file loader are both built from that table, so a value
-means the same whether it comes from a flag or a file.
+Each parser's settings are declared once, in OPTIONS, and every eval task
+is a parser of its own: the argparse flags and the --config file loader are
+both built from that table, so a value means the same whether it comes from
+a flag or a file, and a setting the task does not read is an error.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -143,7 +144,11 @@ class Option:
 
     @property
     def flag(self) -> str:
-        return "--" + self.name.replace("_", "-")
+        return _flag(self.name)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 _SEED = Option("seed", nonnegative, 0, "random seed")
@@ -152,7 +157,6 @@ _FEATURE_MODE = Option("feature_mode", str, "cls", "CLS, or CLS + pooled patches
 _LORA = (
     Option("lora_rank", positive, 16, "adapter rank r"),
     Option("lora_alpha", finite, 0.5, "adapter scale alpha (update is alpha/r * B @ A)"),
-    Option("lora_dropout", finite, 0.0, "adapter input dropout"),
 )
 _LR = Option("lr", finite, 3e-4, "Adam learning rate")
 _BATCH = Option("batch", positive, 16, "triplets per step")
@@ -160,8 +164,20 @@ _EPOCHS = Option("epochs", nonnegative, 8, "training epochs")
 _VAL_FRAC = Option("val_frac", finite, 0.1, "share of triplets held out for val (and for test)")
 _KS = Option("ks", int_list, "1,3,5", "comma-separated k values")
 _MARGIN = Option("margin", finite, 0.05, "hinge margin m")
-_TRAIN = (_MARGIN, _LR, _BATCH, _EPOCHS, _FEATURE_MODE, _SEED, *_LORA, _VAL_FRAC, _CSV)
+_TRAIN = (_MARGIN, _LR, _BATCH, _EPOCHS, _FEATURE_MODE, _SEED, *_LORA, _VAL_FRAC, _CSV,
+          Option("lora_dropout", finite, 0.0, "adapter input dropout"))
+# every eval task takes these; seg and depth read no --feature-mode
+_EVAL = (
+    _FEATURE_MODE, _SEED, *_LORA, Option("adapters", str, None, "adapter checkpoint to apply"), _CSV
+)
+_HEAD = (
+    replace(_LR, help="dense-head learning rate"),
+    replace(_EPOCHS, default=10, help="dense-head epochs"),
+    replace(_BATCH, default=None, help="dense-head images per step (seg 16, depth 128)"),
+    Option("train_frac", finite, 0.8, "share of dense images used to train the head"),
+)
 
+# one table per parser; an eval task is the parser "eval <task>"
 OPTIONS: dict[str, tuple[Option, ...]] = {
     "synth": (
         Option("n", positive, 1000, "number of triplets"),
@@ -174,24 +190,22 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         _CSV,
     ),
     "align": (*_TRAIN, Option("max_steps", positive, None, "stop after this many steps")),
-    "eval": (
-        _FEATURE_MODE,
-        _SEED,
-        _KS,
-        Option("k", positive, 3, "examples per RAG bundle"),
-        *_LORA,
-        Option("adapters", str, None, "adapter checkpoint to apply"),
+    "eval retrieval": (*_EVAL, _KS),
+    "eval count": (*_EVAL, _KS),
+    "eval rag": (*_EVAL, Option("k", positive, 3, "examples per RAG bundle")),
+    "eval probe": (
+        *_EVAL,
         Option("c_grid", float_list, "1,10,100,1000,10000,100000,1000000", "probe C values"),
         Option("folds", positive, 10, "probe cross-validation folds"),
         replace(_VAL_FRAC, default=0.2, help="share of labeled ids held out by the probe"),
+    ),
+    "eval seg": (*_EVAL, *_HEAD),
+    "eval depth": (
+        *_EVAL,
+        *_HEAD,
         Option("bins", positive, 256, "depth bins"),
         Option("depth_range", float_pair, "0.001,10", "d_min,d_max in meters"),
         Option("silog_sign", str, "paper", "SILog loss sign convention", ("paper", "classic")),
-        replace(_LR, help="dense-head learning rate"),
-        replace(_EPOCHS, default=10, help="dense-head epochs"),
-        replace(_BATCH, default=None, help="dense-head images per step (seg 16, depth 128)"),
-        Option("train_frac", finite, 0.8, "share of dense images used to train the head"),
-        _CSV,
     ),
     "ablate": (
         *_TRAIN,
@@ -227,11 +241,10 @@ def _load_config_file(path: str, options) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Flag > config file > default, for every option of the command."""
-    options = OPTIONS[args.command]
-    from_file = _load_config_file(args.config, options) if args.config else {}
+    """Flag > config file > default, for every option of the parser that ran."""
+    from_file = _load_config_file(args.config, args.options) if args.config else {}
     resolved = {}
-    for opt in options:
+    for opt in args.options:
         flag = getattr(args, opt.name)
         resolved[opt.name] = flag if flag is not None else from_file.get(opt.name, opt.default)
     return resolved
@@ -275,11 +288,12 @@ def _flatten(metrics: dict, prefix: str = "") -> dict:
 
 
 def _backbone_for(store, config: dict) -> StoreBackbone:
+    """The config's adapter; eval configs set no dropout, as eval never trains."""
     bb = StoreBackbone(
         store,
         rank=config["lora_rank"],
         alpha=config["lora_alpha"],
-        dropout_p=config["lora_dropout"],
+        dropout_p=config.get("lora_dropout", 0.0),
         seed=config["seed"],
     )
     if config.get("adapters"):
@@ -545,12 +559,19 @@ _EVAL_RUNNERS = {
     "probe": (_eval_probe, ("labels",)),
     "rag": (_eval_rag, ("labels", "queries")),
 }
+_INPUT_HELP = {
+    "labels": "id,label CSV",
+    "queries": "text file with one query id per line",
+    "train_labels": "count labels for the train split",
+    "test_labels": "count labels for the test split",
+    "targets": "directory of <id>.palt dense targets",
+}
 
 
 def cmd_eval(args, config) -> int:
     t0 = time.time()
     runner, inputs = _EVAL_RUNNERS[args.task]
-    missing = ["--" + name.replace("_", "-") for name in inputs if getattr(args, name) is None]
+    missing = [_flag(name) for name in inputs if getattr(args, name) is None]
     if missing:
         raise DataError(f"eval {args.task} needs {' and '.join(missing)}")
     store = load_store(args.store)
@@ -564,11 +585,13 @@ def cmd_eval(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each ablation task and the input flags it needs
+_ABLATE_INPUTS = {"retrieval": ("eval_labels", "eval_queries"), "afc": ("eval_manifest",)}
+
+
 def _ablate_eval(task, backbone, args, config) -> dict:
     mode = FeatureMode(config["feature_mode"])
     if task == "retrieval":
-        if not args.eval_labels or not args.eval_queries:
-            raise DataError("retrieval task needs --eval-labels and --eval-queries")
         report = _recall(
             lambda id: backbone.feature_np(id, mode),
             backbone.store.ids,
@@ -577,12 +600,8 @@ def _ablate_eval(task, backbone, args, config) -> dict:
             config["ks"],
         )
         return report["recall"]
-    if task == "afc":
-        if not args.eval_manifest:
-            raise DataError("afc task needs --eval-manifest")
-        manifest = load_manifest(args.eval_manifest)
-        return {"2afc": two_afc_accuracy(backbone, manifest, mode)}
-    raise DataError(f"unsupported ablation task {task!r} (use retrieval, afc)")
+    manifest = load_manifest(args.eval_manifest)
+    return {"2afc": two_afc_accuracy(backbone, manifest, mode)}
 
 
 def cmd_ablate(args, config) -> int:
@@ -596,6 +615,12 @@ def cmd_ablate(args, config) -> int:
         store_path, manifest_path = paths.split(":", 1)
         datasets.append((name, store_path, manifest_path))
     tasks = [t for t in config["tasks"].split(",") if t]
+    for task in tasks:
+        if task not in _ABLATE_INPUTS:
+            raise DataError(f"unsupported ablation task {task!r} (use retrieval, afc)")
+        inputs = _ABLATE_INPUTS[task]
+        if not all(getattr(args, name) for name in inputs):
+            raise DataError(f"{task} task needs {' and '.join(map(_flag, inputs))}")
     step_counts = _ints(config["steps"]) if config["steps"] else [None]
     eval_store = load_store(args.eval_store) if args.eval_store else None
 
@@ -633,12 +658,13 @@ def cmd_ablate(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_options(p: argparse.ArgumentParser, command: str) -> None:
-    """--out, --config and one flag per declared option; every flag defaults
-    to None so that _resolve can tell a flag given from one left out."""
+def _add_options(p: argparse.ArgumentParser, key: str) -> None:
+    """--out, --config and one flag per option of OPTIONS[key]; every flag
+    defaults to None so that _resolve can tell a flag given from one left out."""
     p.add_argument("--out", required=True, help="output directory for artifacts and report")
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    for opt in OPTIONS[command]:
+    p.set_defaults(options=OPTIONS[key])
+    for opt in OPTIONS[key]:
         if opt.parse is boolean:
             p.add_argument(opt.flag, dest=opt.name, action="store_const", const=True, help=opt.help)
         else:
@@ -669,16 +695,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-manifest", dest="val_manifest")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("eval", help="run one evaluation protocol")
-    p.add_argument("task", choices=sorted(_EVAL_RUNNERS))
-    _add_options(p, "eval")
-    p.add_argument("--store", required=True)
-    p.add_argument("--labels", help="id,label CSV (retrieval/probe/rag)")
-    p.add_argument("--queries", help="text file with one query id per line")
-    p.add_argument("--train-labels", dest="train_labels", help="count labels for the train split")
-    p.add_argument("--test-labels", dest="test_labels", help="count labels for the test split")
-    p.add_argument("--targets", help="directory of <id>.palt dense targets")
-    p.set_defaults(func=cmd_eval)
+    tasks = sub.add_parser("eval", help="run one evaluation protocol").add_subparsers(
+        dest="task", required=True
+    )
+    for task, (_, inputs) in _EVAL_RUNNERS.items():
+        p = tasks.add_parser(task)
+        _add_options(p, f"eval {task}")
+        p.add_argument("--store", required=True)
+        for name in inputs:
+            p.add_argument(_flag(name), dest=name, help=_INPUT_HELP[name])
+        p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="compare adapters trained on different datasets")
     _add_options(p, "ablate")
@@ -689,9 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="name=STORE:MANIFEST (repeatable)",
     )
     p.add_argument("--eval-store", dest="eval_store")
-    p.add_argument("--eval-labels", dest="eval_labels")
-    p.add_argument("--eval-queries", dest="eval_queries")
-    p.add_argument("--eval-manifest", dest="eval_manifest")
+    for name in ("eval_labels", "eval_queries", "eval_manifest"):
+        p.add_argument(_flag(name), dest=name)
     p.set_defaults(func=cmd_ablate)
 
     return parser

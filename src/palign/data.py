@@ -12,7 +12,8 @@ s > 0, one (n, s, s, d) float32 patch array. The file format is unchanged;
 ``load_store`` reads each record's floats straight into its row.
 
 Triplet manifest: CSV with header ``ref,x0,x1,y``, UTF-8, LF endings.
-Label file: CSV with header ``id,label``.
+Label file: CSV with header ``id,label``. Both quote a field only where CSV
+needs it, so any text id round-trips.
 """
 
 from __future__ import annotations
@@ -263,11 +264,22 @@ def load_manifest(path) -> TripletManifest:
     return manifest
 
 
+def _write_csv(path, rows) -> None:
+    """UTF-8 CSV lines ending in LF. A field is quoted when it holds a comma, a
+    quote or a line break; csv quotes a bare CR only when the line terminator
+    holds one, so each row is formatted for CRLF and ended with LF."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        for row in rows:
+            writer.writerow(row)
+            f.write(line.getvalue()[:-2] + "\n")
+            line.seek(0)
+            line.truncate()
+
+
 def save_manifest(manifest: TripletManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(_MANIFEST_HEADER) + "\n")
-        for e in manifest:
-            f.write(f"{e.ref},{e.x0},{e.x1},{e.y}\n")
+    _write_csv(path, [_MANIFEST_HEADER, *((e.ref, e.x0, e.x1, e.y) for e in manifest)])
 
 
 def load_labels(path) -> dict[str, str]:
@@ -292,10 +304,7 @@ def load_labels(path) -> dict[str, str]:
 
 
 def save_labels(labels: dict[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("id,label\n")
-        for id, label in labels.items():
-            f.write(f"{id},{label}\n")
+    _write_csv(path, [("id", "label"), *labels.items()])
 
 
 # ---------------------------------------------------------------------------

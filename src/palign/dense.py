@@ -1,10 +1,9 @@
 """Linear probes over frozen patch tokens: segmentation and depth.
 
 Both heads are single linear layers on patch tokens. Predictions made at
-the token grid are reconciled with full-resolution targets either by
-nearest-neighbor upsampling of predictions (default) or by downsampling
-targets (majority vote for classes, mean for depth). Training builds one
-graph per batch, with softmax per token before one gather to the pixels.
+the token grid reach full-resolution targets by nearest-neighbor upsampling:
+each pixel reads the token whose cell holds it. Training builds one graph
+per batch, with softmax per token before one gather to the pixels.
 
 The depth head classifies into bins; its training loss is the
 scale-invariant log loss applied to the probability-weighted bin centers:
@@ -115,21 +114,16 @@ class DepthBinning:
     d_min: float = 0.001
     d_max: float = 10.0
     n_bins: int = 256
-    spacing: str = "uniform"  # or "log"
 
     def __post_init__(self):
         if not 0 < self.d_min < self.d_max:
             raise DataError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
         if self.n_bins < 2:
             raise DataError(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.spacing not in ("uniform", "log"):
-            raise DataError(f"spacing must be 'uniform' or 'log', got {self.spacing!r}")
 
     @property
     def edges(self) -> np.ndarray:
-        if self.spacing == "uniform":
-            return np.linspace(self.d_min, self.d_max, self.n_bins + 1)
-        return np.geomspace(self.d_min, self.d_max, self.n_bins + 1)
+        return np.linspace(self.d_min, self.d_max, self.n_bins + 1)
 
     @property
     def centers(self) -> np.ndarray:
@@ -141,12 +135,8 @@ def depth_encode(depth: np.ndarray, binning: DepthBinning) -> np.ndarray:
     """Clamp to the bin range and floor each depth into its bin index."""
     depth = np.asarray(depth, dtype=np.float64)
     clamped = np.clip(depth, binning.d_min, binning.d_max)
-    if binning.spacing == "uniform":
-        width = (binning.d_max - binning.d_min) / binning.n_bins
-        idx = np.floor((clamped - binning.d_min) / width)
-    else:
-        width = (np.log(binning.d_max) - np.log(binning.d_min)) / binning.n_bins
-        idx = np.floor((np.log(clamped) - np.log(binning.d_min)) / width)
+    width = (binning.d_max - binning.d_min) / binning.n_bins
+    idx = np.floor((clamped - binning.d_min) / width)
     return np.clip(idx, 0, binning.n_bins - 1).astype(np.int64)
 
 
@@ -241,7 +231,7 @@ def _silog_sign(sign: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# heads and resolution handling
+# heads
 # ---------------------------------------------------------------------------
 
 
@@ -270,7 +260,6 @@ class HeadHyper:
     epochs: int = 10
     batch_size: int = 16
     seed: int = 0
-    resolution: str = "upsample"  # or "downsample"
 
     def __post_init__(self):
         if not self.lr > 0:
@@ -279,8 +268,6 @@ class HeadHyper:
             raise DataError(f"lr must be finite, got {self.lr}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.resolution not in ("upsample", "downsample"):
-            raise DataError(f"resolution must be 'upsample' or 'downsample', got {self.resolution!r}")
 
 
 DEPTH_BATCH_SIZE = 128
@@ -293,28 +280,10 @@ def _token_index_map(s: int, h: int, w: int) -> np.ndarray:
     return (rows[:, None] * s + cols[None, :]).reshape(-1)
 
 
-def _downsample_target(target: DenseTarget, s: int, task: str) -> DenseTarget:
-    """Majority vote (seg) or mean (depth) of valid pixels per token cell, for a
-    target with at least one valid pixel."""
-    h, w = target.values.shape
-    mask = target.valid_mask.reshape(-1)
-    tok, vals = _token_index_map(s, h, w)[mask], target.values.reshape(-1)[mask]
-    count = np.bincount(tok, minlength=s * s)
-    if task == "seg":
-        classes, vote = np.unique(vals, return_inverse=True)
-        votes = np.zeros((s * s, len(classes)), dtype=np.int64)
-        np.add.at(votes, (tok, vote), 1)
-        out = classes[votes.argmax(axis=1)]  # ties to the smaller class id
-    else:
-        out = np.bincount(tok, weights=vals, minlength=s * s) / np.maximum(count, 1)
-    return DenseTarget(values=out.reshape(s, s), valid_mask=(count > 0).reshape(s, s))
-
-
-def _head_inputs(features, targets, task: str, resolution: str, n_classes: int | None):
+def _head_inputs(features, targets, task: str, n_classes: int | None):
     """Tokens (N, s*s, d) and, per image, the token index and target value of
-    each valid pixel (row-major, after resolution handling). Targets are checked
-    here, once: a non-empty valid mask, seg class ids among the head's classes,
-    finite positive depths."""
+    each valid pixel (row-major). Targets are checked here, once: a non-empty
+    valid mask, seg class ids among the head's classes, finite positive depths."""
     if len(features) != len(targets) or not features:
         raise DataError("features and targets must be non-empty and parallel")
     shape = features[0].shape
@@ -331,11 +300,8 @@ def _head_inputs(features, targets, task: str, resolution: str, n_classes: int |
             raise DataError(f"target class ids must lie in [0, {n_classes}), the head's classes")
         if task == "depth" and not np.all((values > 0) & (values < np.inf)):
             raise DataError("nonpositive or non-finite target depth inside the valid mask")
-        if resolution == "downsample":
-            target = _downsample_target(target, s, task)
         h, w = target.values.shape
-        keep = target.valid_mask.reshape(-1)
-        pixels.append((_token_index_map(s, h, w)[keep], target.values.reshape(-1)[keep]))
+        pixels.append((_token_index_map(s, h, w)[target.valid_mask.reshape(-1)], values))
     return tokens, pixels
 
 
@@ -396,7 +362,7 @@ def train_linear_head(
         binning = binning or DepthBinning()
         n_out = binning.n_bins
     sign = _silog_sign(silog_sign)
-    tokens, pixels = _head_inputs(features, targets, task, hyper.resolution, n_classes)
+    tokens, pixels = _head_inputs(features, targets, task, n_classes)
 
     rng = np.random.default_rng(hyper.seed)
     params = {
@@ -434,7 +400,7 @@ def train_linear_head(
 def eval_seg(head: SegHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
     """mIoU over classes present in target or prediction, plus pixel accuracy."""
     n_classes = head.n_classes
-    tokens, pixels = _head_inputs(features, targets, "seg", "upsample", n_classes)
+    tokens, pixels = _head_inputs(features, targets, "seg", n_classes)
     w, b = Tensor(head.weight), Tensor(head.bias)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for i, (index, truth) in enumerate(pixels):
@@ -455,7 +421,7 @@ DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
 
 def eval_depth(head: DepthHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
     """RMSE, AbsRel, log10, and delta-threshold accuracies over valid pixels."""
-    tokens, pixels = _head_inputs(features, targets, "depth", "upsample", None)
+    tokens, pixels = _head_inputs(features, targets, "depth", None)
     w, bias = Tensor(head.weight), Tensor(head.bias)
     a = np.concatenate([
         _head_pixels(w, bias, tokens[i : i + 1], index[None], head.binning).data[0]

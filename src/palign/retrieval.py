@@ -108,6 +108,8 @@ def recall_at_k(
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise DataError("ks must be non-empty")
+    if ks[0] < 1:
+        raise DataError(f"k must be >= 1, got {ks[0]}")
     if not queries:
         raise DataError("queries must be non-empty")
     hits = {k: 0 for k in ks}

@@ -471,8 +471,11 @@ class TestTrainAlignment:
         # the LoRA settings live on the backbone, and the CLI passes its own
         adapter = StoreBackbone(store_of({"a": [1.0, 0.0]})).adapter
         assert (adapter.rank, adapter.alpha, adapter.dropout_p) == (16, 0.5, 0.0)
-        for command in ("align", "eval", "ablate"):
-            defaults = {opt.name: opt.default for opt in OPTIONS[command]}
+        for key, options in OPTIONS.items():
+            if key == "synth":
+                continue
+            defaults = {opt.name: opt.default for opt in options}
             assert defaults["lora_rank"] == 16
             assert defaults["lora_alpha"] == 0.5
-            assert defaults["lora_dropout"] == 0.0
+            if not key.startswith("eval"):  # eval never trains, so takes no dropout
+                assert defaults["lora_dropout"] == 0.0

@@ -312,11 +312,12 @@ def run_captured(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-# required non-option arguments per command; parsing does not open the files
+EVAL_TASKS = ("retrieval", "rag", "probe", "count", "seg", "depth")
+# required non-option arguments per parser; parsing does not open the files
 BASE_ARGV = {
     "synth": ["synth", "--out", "o"],
     "align": ["align", "--out", "o", "--store", "s.paln", "--manifest", "m.csv"],
-    "eval": ["eval", "retrieval", "--out", "o", "--store", "s.paln"],
+    **{f"eval {task}": ["eval", task, "--out", "o", "--store", "s.paln"] for task in EVAL_TASKS},
     "ablate": ["ablate", "--out", "o", "--dataset", "a=s.paln:m.csv"],
 }
 SAMPLE_TEXT = {
@@ -336,19 +337,25 @@ def resolved(argv) -> dict:
 
 
 @pytest.mark.parametrize(
-    "command,option",
-    [(command, opt) for command, options in cli.OPTIONS.items() for opt in options],
-    ids=lambda x: x if isinstance(x, str) else x.name,
+    "command,name",
+    sorted({(key.split()[0], opt.name) for key, options in cli.OPTIONS.items() for opt in options}),
 )
-def test_config_file_value_resolves_like_its_flag(command, option, tmp_path):
-    text = option.choices[-1] if option.choices else SAMPLE_TEXT[option.parse]
-    flag = [option.flag] if option.parse is cli.boolean else [option.flag, text]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{option.name}={text}\n")
-    from_flag = resolved(BASE_ARGV[command] + flag)
-    from_file = resolved(BASE_ARGV[command] + ["--config", cfg])
-    assert from_flag[option.name] != option.default
-    assert json.dumps(from_file, sort_keys=True) == json.dumps(from_flag, sort_keys=True)
+def test_config_file_value_resolves_like_its_flag(command, name, tmp_path):
+    """On every parser of the command (each eval task) that takes the setting."""
+    cases = [
+        (key, opt) for key, options in cli.OPTIONS.items() if key.split()[0] == command
+        for opt in options if opt.name == name
+    ]
+    assert cases
+    for key, option in cases:
+        text = option.choices[-1] if option.choices else SAMPLE_TEXT[option.parse]
+        flag = [option.flag] if option.parse is cli.boolean else [option.flag, text]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option.name}={text}\n")
+        from_flag = resolved(BASE_ARGV[key] + flag)
+        from_file = resolved(BASE_ARGV[key] + ["--config", cfg])
+        assert from_flag[option.name] != option.default
+        assert json.dumps(from_file, sort_keys=True) == json.dumps(from_flag, sort_keys=True)
 
 
 def test_max_steps_from_config_file_runs_like_flag(world_dir, tmp_path):
@@ -398,6 +405,10 @@ def test_bad_align_settings_fail_clean(world_dir, tmp_path, capsys, case, lines,
         ("retrieval", ["--ks", "a,b"]),
         ("depth", ["--depth-range", "1,2,3"]),
         ("probe", ["--c-grid", ","]),
+        # a setting the task does not read
+        ("retrieval", ["--bins", "8"]),
+        ("seg", ["--ks", "1"]),
+        ("rag", ["--lora-dropout", "0.5"]),
     ],
 )
 def test_bad_eval_flags_fail_clean(world_dir, tmp_path, capsys, task, extra):
@@ -550,7 +561,7 @@ def tiny_argv(w: Path, command: str, task: str | None = None) -> list:
 
 
 TINY_COMMANDS = [("synth", None), ("align", None), ("ablate", None)] + [
-    ("eval", task) for task in ("retrieval", "rag", "probe", "count", "seg", "depth")
+    ("eval", task) for task in EVAL_TASKS
 ]
 
 
@@ -559,7 +570,7 @@ def test_int_options_at_zero_and_minus_one_fail_clean(tiny_world, tmp_path, caps
     base = tiny_argv(tiny_world, command, task)
     code, err = run_captured(capsys, *base, "--out", tmp_path / "base")
     assert code == 0, err
-    for opt in cli.OPTIONS[command]:
+    for opt in cli.OPTIONS[command if task is None else f"eval {task}"]:
         if opt.parse not in (cli.positive, cli.nonnegative):
             continue
         for value in (-1, 0):
@@ -582,6 +593,9 @@ def test_int_options_at_zero_and_minus_one_fail_clean(tiny_world, tmp_path, caps
         ("eval", "seg", ["--config", "batch=0"], 1, "bad value '0' for batch"),
         ("eval", "count", ["--ks", "0"], 1, "k must be in [1, 19] for 20 train items, got 0"),
         ("eval", "count", ["--ks", "1,19,20"], 1, "k must be in [1, 19]"),
+        ("eval", "retrieval", ["--ks=-2,1"], 1, "k must be >= 1, got -2"),
+        ("eval", "retrieval", ["--config", "ks=1,-3"], 1, "k must be >= 1, got -3"),
+        ("eval", "retrieval", ["--config", "bins=8"], 1, "unknown config key 'bins'"),
         ("eval", "probe", ["--val-frac", 1.0], 1, "--val-frac must be in (0, 1), got 1.0"),
         ("align", None, ["--max-steps", 0], 2, "invalid positive value"),
         ("align", None, ["--config", "max_steps=0"], 1, "bad value '0' for max_steps"),
@@ -598,6 +612,7 @@ def test_int_options_at_zero_and_minus_one_fail_clean(tiny_world, tmp_path, caps
     ids=[
         "align-seed", "synth-seed", "eval-lora-rank", "align-lora-rank", "seg-batch-neg",
         "depth-batch-0", "seg-config-batch-0", "count-k-0", "count-k-n-train",
+        "retrieval-k-neg", "retrieval-config-k-neg", "retrieval-config-bins",
         "probe-val-frac-1", "align-max-steps-0", "align-config-max-steps-0", "ablate-steps-0",
         "align-lr-nan", "align-margin-nan", "align-alpha-inf", "synth-noise-nan",
         "depth-lr-inf", "depth-range-inf", "probe-c-grid-nan", "align-config-lr-nan",
@@ -740,3 +755,52 @@ def test_seg_image_with_empty_mask_fails_clean(tiny_world, tmp_path, capsys):
     code, err = run_captured(capsys, *argv)
     assert code == 1
     assert err.strip().splitlines() == ["error: empty valid mask"]
+
+
+# every eval task's settings beyond --feature-mode, --seed, --lora-rank,
+# --lora-alpha, --adapters and --csv
+EVAL_OWN_SETTINGS = {
+    "retrieval": {"ks"},
+    "count": {"ks"},
+    "rag": {"k"},
+    "probe": {"c_grid", "folds", "val_frac"},
+    "seg": {"lr", "epochs", "batch", "train_frac"},
+    "depth": {"lr", "epochs", "batch", "train_frac", "bins", "depth_range", "silog_sign"},
+}
+
+
+@pytest.mark.parametrize("task", EVAL_TASKS)
+def test_eval_report_config_holds_only_the_task_settings(tiny_world, tmp_path, task):
+    out = tmp_path / "o"
+    assert run(*tiny_argv(tiny_world, "eval", task), "--out", out) == 0
+    names = {opt.name for opt in cli.OPTIONS[f"eval {task}"]}
+    common = {"feature_mode", "seed", "lora_rank", "lora_alpha", "adapters", "csv"}
+    assert names == common | EVAL_OWN_SETTINGS[task]
+    assert set(report_of(out)["config"]) == names
+    assert set(json.loads((out / "resolved_config.json").read_text())) == names
+
+
+@pytest.mark.parametrize(
+    "tasks,message",
+    [
+        ("foo", "unsupported ablation task 'foo' (use retrieval, afc)"),
+        ("retrieval", "retrieval task needs --eval-labels and --eval-queries"),
+        ("afc", "afc task needs --eval-manifest"),
+    ],
+    ids=["unknown", "retrieval", "afc"],
+)
+def test_ablate_checks_tasks_before_loading_or_training(
+    tiny_world, tmp_path, capsys, monkeypatch, tasks, message
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the ablation tasks were checked")
+
+    monkeypatch.setattr(cli, "load_store", fail)
+    monkeypatch.setattr(cli, "train_alignment", fail)
+    dataset = f"a={tiny_world / 'store.paln'}:{tiny_world / 'triplets.csv'}"
+    code, err = run_captured(
+        capsys, "ablate", "--dataset", dataset, "--tasks", tasks, "--budget", 40,
+        "--epochs", 1, "--out", tmp_path / "o",
+    )
+    assert code == 1
+    assert err.strip().splitlines() == [f"error: {message}"]

@@ -27,6 +27,14 @@ from palign.data import (
 from palign.errors import DataError, FormatError, PalignError
 
 
+# any text a .paln id can hold (UTF-8: no lone surrogates), often with the
+# characters CSV must quote
+CSV_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\r\n '), st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+)
+
+
 def small_store(d=4, s=0, n=2, seed=0):
     rng = np.random.default_rng(seed)
     cls, patch = np.empty((n, d)), np.empty((n, s, s, d))
@@ -278,6 +286,20 @@ class TestManifestIO:
         path = tmp_path / "l.csv"
         save_labels(labels, path)
         assert load_labels(path) == labels
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        triples=st.lists(st.lists(CSV_TEXT, min_size=3, max_size=3, unique=True), max_size=4),
+        ys=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        labels=st.dictionaries(CSV_TEXT, CSV_TEXT, max_size=4),
+    )
+    def test_text_ids_round_trip(self, triples, ys, labels, tmp_path_factory):
+        manifest = TripletManifest([TripletEntry(*ids, y) for ids, y in zip(triples, ys)])
+        path = tmp_path_factory.mktemp("csv")
+        save_manifest(manifest, path / "m.csv")
+        save_labels(labels, path / "l.csv")
+        assert load_manifest(path / "m.csv").entries == manifest.entries
+        assert load_labels(path / "l.csv") == labels
 
 
 class TestClassTriplets:

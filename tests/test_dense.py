@@ -10,7 +10,6 @@ from palign.dense import (
     DepthHead,
     HeadHyper,
     SegHead,
-    _downsample_target,
     _head_inputs,
     _head_loss,
     _jaccard_graph,
@@ -198,13 +197,6 @@ class TestBinning:
         idx = depth_encode(depths, binning)
         assert np.all(np.diff(idx) >= 0)
 
-    def test_log_spacing(self):
-        binning = DepthBinning(d_min=0.1, d_max=10.0, n_bins=32, spacing="log")
-        idx = depth_encode(binning.centers, binning)
-        np.testing.assert_array_equal(idx, np.arange(32))
-        widths = np.diff(binning.edges)
-        assert widths[-1] > widths[0]  # log bins widen with depth
-
     def test_invalid_binning(self):
         with pytest.raises(DataError):
             DepthBinning(d_min=2.0, d_max=1.0)
@@ -235,7 +227,7 @@ def planted_seg_world(rng, n_images, s, d, n_classes, margin=0.5, held_out=10):
     )
 
 
-def batch_and_per_image(task, resolution, s=4, d=5, n_out=6):
+def batch_and_per_image(task, s=4, d=5, n_out=6):
     """One head batch that mixes 8x8 and 6x10 targets with random masks, as
     (loss, [gW, gb]) from the batched graph, the same from per-image graphs
     (token logits gathered to the valid pixels, softmax per pixel, the B = 1
@@ -254,15 +246,13 @@ def batch_and_per_image(task, resolution, s=4, d=5, n_out=6):
         targets.append(DenseTarget(values, mask))
 
     leaves = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
-    tokens, pixels = _head_inputs(features, targets, task, resolution, n_out)
+    tokens, pixels = _head_inputs(features, targets, task, n_out)
     loss = _head_loss(task, *leaves, tokens, pixels, [3, 0, 4, 1, 2], binning)
     loss.backward()
 
     oracle = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
     total, public = 0.0, 0.0
     for feat, target in zip(features, targets):
-        if resolution == "downsample":
-            target = _downsample_target(target, s, task)
         h, w = target.values.shape
         token_logits = Tensor(feat.reshape(s * s, d)) @ oracle[0].T + oracle[1]
         mask = target.valid_mask.reshape(-1)
@@ -330,10 +320,9 @@ class TestTrainHead:
         with pytest.raises(DataError, match="nonpositive or non-finite target depth"):
             train_linear_head("depth", [rng.normal(size=(2, 2, 3))] * 2, targets, HeadHyper())
 
-    @pytest.mark.parametrize("resolution", ["upsample", "downsample"])
     @pytest.mark.parametrize("task", ["seg", "depth"])
-    def test_batch_loss_matches_per_image_oracles(self, task, resolution):
-        loss, grads, want_loss, want_grads, public_mean = batch_and_per_image(task, resolution)
+    def test_batch_loss_matches_per_image_oracles(self, task):
+        loss, grads, want_loss, want_grads, public_mean = batch_and_per_image(task)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert loss == pytest.approx(public_mean, rel=1e-12)
         for g, want in zip(grads, want_grads):
@@ -378,14 +367,6 @@ class TestTrainHead:
         train_linear_head("seg", feats, targets, HeadHyper(epochs=2), n_classes=2)
         for f, b in zip(feats, before):
             np.testing.assert_array_equal(f, b)
-
-    def test_downsample_mode(self):
-        rng = np.random.default_rng(12)
-        feats = [rng.normal(size=(2, 2, 3)) for _ in range(4)]
-        targets = [full_mask(rng.integers(0, 2, size=(8, 8))) for _ in range(4)]
-        hyper = HeadHyper(epochs=1, resolution="downsample")
-        head, history = train_linear_head("seg", feats, targets, hyper, n_classes=2)
-        assert len(history) == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
