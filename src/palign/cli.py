@@ -507,7 +507,21 @@ def _eval_dense(args, config, store) -> dict:
     return metrics
 
 
+def _probe_config(config: dict) -> ProbeConfig:
+    """The probe's settings, checked; they read no data, so cmd_eval checks
+    them before the store loads."""
+    frac = config["val_frac"]
+    if not 0.0 < frac < 1.0:
+        raise DataError(f"--val-frac must be in (0, 1), got {frac}")
+    return ProbeConfig(
+        c_grid=tuple(_floats(config["c_grid"])),
+        folds=config["folds"],
+        seed=config["seed"],
+    )
+
+
 def _eval_probe(args, config, store) -> dict:
+    probe_cfg = _probe_config(config)
     featurize = _featurizer(store, config)
     labels = load_labels(args.labels)
     ids = [id for id in store.ids if id in labels]
@@ -517,18 +531,10 @@ def _eval_probe(args, config, store) -> dict:
     name_to_idx = {n: i for i, n in enumerate(names)}
     x = np.stack([featurize(id) for id in ids])
     y = np.array([name_to_idx[labels[id]] for id in ids])
-    frac = config["val_frac"]
-    if not 0.0 < frac < 1.0:
-        raise DataError(f"--val-frac must be in (0, 1), got {frac}")
     rng = np.random.default_rng(config["seed"])
     perm = rng.permutation(len(ids))
-    n_val = max(1, int(round(frac * len(ids))))
+    n_val = max(1, int(round(config["val_frac"] * len(ids))))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    probe_cfg = ProbeConfig(
-        c_grid=tuple(_floats(config["c_grid"])),
-        folds=config["folds"],
-        seed=config["seed"],
-    )
     result = linear_probe_classify(x[train_idx], y[train_idx], x[val_idx], y[val_idx], probe_cfg)
     out = result.to_dict()
     out["n_train"] = len(train_idx)
@@ -574,6 +580,8 @@ def cmd_eval(args, config) -> int:
     missing = [_flag(name) for name in inputs if getattr(args, name) is None]
     if missing:
         raise DataError(f"eval {args.task} needs {' and '.join(missing)}")
+    if args.task == "probe":
+        _probe_config(config)
     store = load_store(args.store)
     metrics = runner(args, config, store)
     _write_report(Path(args.out), f"eval.{args.task}", config, metrics, t0)
@@ -589,7 +597,7 @@ def cmd_eval(args, config) -> int:
 _ABLATE_INPUTS = {"retrieval": ("eval_labels", "eval_queries"), "afc": ("eval_manifest",)}
 
 
-def _ablate_eval(task, backbone, args, config) -> dict:
+def _ablate_eval(task, backbone, args, config, afc_manifest) -> dict:
     mode = FeatureMode(config["feature_mode"])
     if task == "retrieval":
         report = _recall(
@@ -600,8 +608,7 @@ def _ablate_eval(task, backbone, args, config) -> dict:
             config["ks"],
         )
         return report["recall"]
-    manifest = load_manifest(args.eval_manifest)
-    return {"2afc": two_afc_accuracy(backbone, manifest, mode)}
+    return {"2afc": two_afc_accuracy(backbone, afc_manifest, mode)}
 
 
 def cmd_ablate(args, config) -> int:
@@ -621,8 +628,13 @@ def cmd_ablate(args, config) -> int:
         inputs = _ABLATE_INPUTS[task]
         if not all(getattr(args, name) for name in inputs):
             raise DataError(f"{task} task needs {' and '.join(map(_flag, inputs))}")
+    if "retrieval" in tasks:
+        lowest = min(_ints(config["ks"]))  # int_list lets no empty list through
+        if lowest < 1:
+            raise DataError(f"k must be >= 1, got {lowest}")
     step_counts = _ints(config["steps"]) if config["steps"] else [None]
     eval_store = load_store(args.eval_store) if args.eval_store else None
+    afc_manifest = load_manifest(args.eval_manifest) if "afc" in tasks else None
 
     rows = []
     for name, store_path, manifest_path in datasets:
@@ -647,7 +659,7 @@ def cmd_ablate(args, config) -> int:
                 target.load_trainable(snapshot)
             row = {"dataset": name, "steps": steps if steps is not None else "full"}
             for task in tasks:
-                row[task] = _ablate_eval(task, target, args, config)
+                row[task] = _ablate_eval(task, target, args, config, afc_manifest)
             rows.append(row)
     _write_report(out, "ablate", config, {"rows": rows}, t0)
     return 0

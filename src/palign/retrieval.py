@@ -298,6 +298,16 @@ def evaluate_rag(
 
 @dataclass
 class ProbeConfig:
+    """Settings of `linear_probe_classify`.
+
+    Every fit minimizes mean NLL + lambda/2 * ||W||^2 with lambda = 1/(C n)
+    and the bias unpenalized, by Newton-CG until the gradient norm is below
+    `grad_tol`. Within each fold the fits walk `c_grid` upward, each
+    warm-started from the previous C's solution. `max_iter` caps the Newton
+    steps of one fit; a fit that reaches the cap raises DataError rather than
+    return a truncated iterate.
+    """
+
     c_grid: tuple = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
     folds: int = 10
     max_iter: int = 300
@@ -325,46 +335,89 @@ class ProbeResult:
         }
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+# CG stops once its residual is below this share of the gradient norm, as in liblinear
+CG_FORCING = 0.1
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, n_classes: int, c: float, cfg: ProbeConfig):
-    """Full-batch gradient descent with backtracking line search on the
-    L2-regularized multinomial logistic objective (bias unpenalized)."""
+def _fit_logistic(
+    x: np.ndarray, y: np.ndarray, n_classes: int, c: float, cfg: ProbeConfig, init=None
+):
+    """Newton-CG on the L2-regularized multinomial logistic objective (bias
+    unpenalized), from `init` = (W, b) or from zero, to a gradient norm below
+    `cfg.grad_tol`.
+
+    Each Newton direction solves H s = -g by conjugate gradients on
+    Hessian-vector products, with no dense Hessian, then a backtracking line
+    search takes the step. H is singular along "add one constant to every
+    bias"; CG started from the gradient stays in H's range, so it needs no
+    special handling. Raises DataError after `cfg.max_iter` Newton steps, or
+    when the line search finds no decrease.
+    """
     n, d = x.shape
-    w = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
+    xa = np.hstack([x, np.ones((n, 1))])  # the bias is the last column of theta
     onehot = np.eye(n_classes)[y]
-    lam = 1.0 / (c * n)
+    penalty = np.full(d + 1, 1.0 / (c * n))
+    penalty[-1] = 0.0
+    if init is None:
+        theta = np.zeros((n_classes, d + 1))
+    else:
+        theta = np.hstack([init[0], init[1][:, None]])
+    rows = np.arange(n)
 
-    def objective(w, b):
-        z = x @ w.T + b
+    def objective(theta):
+        """Objective value and softmax probabilities at theta."""
+        z = xa @ theta.T
         z -= z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        nll = (log_norm - z[np.arange(n), y]).mean()
-        return nll + 0.5 * lam * (w**2).sum()
+        e = np.exp(z)
+        norm = e.sum(axis=1)
+        nll = (np.log(norm) - z[rows, y]).mean()
+        return nll + 0.5 * (penalty * theta**2).sum(), e / norm[:, None]
 
-    step = 1.0
-    for _ in range(cfg.max_iter):
-        probs = _softmax_rows(x @ w.T + b)
-        diff = probs - onehot
-        gw = diff.T @ x / n + lam * w
-        gb = diff.mean(axis=0)
-        gnorm = np.sqrt((gw**2).sum() + (gb**2).sum())
+    def hess_vec(probs, v):
+        pz = probs * (xa @ v.T)
+        r = pz - probs * pz.sum(axis=1, keepdims=True)
+        return r.T @ xa / n + penalty * v
+
+    f, probs = objective(theta)
+    for newton_steps in range(cfg.max_iter + 1):
+        grad = (probs - onehot).T @ xa / n + penalty * theta
+        gnorm = np.sqrt((grad**2).sum())
         if gnorm < cfg.grad_tol:
+            return theta[:, :d], theta[:, d]
+        if newton_steps == cfg.max_iter:
             break
-        f0 = objective(w, b)
-        step = min(step * 2.0, 1e4)  # allow growth after cautious steps
-        while step > 1e-12:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            if objective(w_new, b_new) <= f0 - 0.5 * step * gnorm**2:
+        step = np.zeros_like(theta)
+        resid = -grad
+        direction = resid.copy()
+        rr = (resid**2).sum()
+        for _ in range(theta.size):
+            hd = hess_vec(probs, direction)
+            curvature = (direction * hd).sum()
+            if curvature <= 0.0:
                 break
-            step *= 0.5
-        w, b = w - step * gw, b - step * gb
-    return w, b
+            alpha = rr / curvature
+            step += alpha * direction
+            resid -= alpha * hd
+            rr_next = (resid**2).sum()
+            if np.sqrt(rr_next) <= CG_FORCING * gnorm:
+                break
+            direction = resid + (rr_next / rr) * direction
+            rr = rr_next
+        slope = (grad * step).sum()
+        t = 1.0
+        while t > 1e-10:
+            f_new, probs_new = objective(theta + t * step)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        theta = theta + t * step
+        f, probs = f_new, probs_new
+    raise DataError(
+        f"probe fit at C={c:g} did not converge: gradient norm {gnorm:.3g} "
+        f"after {newton_steps} Newton steps"
+    )
 
 
 def _predict_logistic(w, b, x):
@@ -390,7 +443,10 @@ def linear_probe_classify(
 ) -> ProbeResult:
     """Cross-validated c search, then a full-train fit scored on validation.
 
-    Ties in cross-validation accuracy resolve toward the smaller c.
+    Within each fold the fits walk the C grid in ascending order, each
+    warm-started from the previous solution; the full-train fit at the chosen
+    C starts from zero. Ties in cross-validation accuracy resolve toward the
+    smaller c.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
@@ -411,16 +467,15 @@ def linear_probe_classify(
 
     rng = np.random.default_rng(config.seed)
     assignment = _stratified_folds(train_y, config.folds, rng)
-    cv_accuracy: dict[float, float] = {}
-    for c in config.c_grid:
-        correct = 0
-        for fold in range(config.folds):
-            held = assignment == fold
-            w, b = _fit_logistic(
-                train_x[~held], train_y[~held], n_classes, c, config
-            )
-            correct += int((_predict_logistic(w, b, train_x[held]) == train_y[held]).sum())
-        cv_accuracy[c] = correct / len(train_y)
+    # each fold walks the grid upward, every fit starting from the previous C's solution
+    correct = dict.fromkeys(sorted(set(config.c_grid)), 0)
+    for fold in range(config.folds):
+        held = assignment == fold
+        fit = None
+        for c in correct:
+            fit = _fit_logistic(train_x[~held], train_y[~held], n_classes, c, config, init=fit)
+            correct[c] += int((_predict_logistic(*fit, train_x[held]) == train_y[held]).sum())
+    cv_accuracy = {c: correct[c] / len(train_y) for c in config.c_grid}
 
     best = max(cv_accuracy.values())
     best_c = min(c for c in config.c_grid if cv_accuracy[c] == best)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -633,6 +634,39 @@ def test_out_of_range_settings_fail_clean(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--val-frac", 1.0], "--val-frac must be in (0, 1), got 1.0"),
+        (["--c-grid", "0,1"], "c_grid must be non-empty and positive"),
+        (["--folds", 1], "folds must be >= 2"),
+    ],
+    ids=["val-frac-1", "c-grid-0", "folds-1"],
+)
+def test_probe_settings_checked_before_the_store_loads(
+    tiny_world, tmp_path, capsys, monkeypatch, extra, message
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("store loaded before the probe settings were checked")
+
+    monkeypatch.setattr(cli, "load_store", fail)
+    code, err = run_captured(
+        capsys, *tiny_argv(tiny_world, "eval", "probe"), *extra, "--out", tmp_path / "o"
+    )
+    assert code == 1
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_probe_fit_that_does_not_converge_fails_clean(tiny_world, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProbeConfig", partial(cli.ProbeConfig, max_iter=1))
+    code, err = run_captured(
+        capsys, *tiny_argv(tiny_world, "eval", "probe"), "--out", tmp_path / "o"
+    )
+    lines = err.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: probe fit at C=1 did not converge")
+
+
 
 @pytest.mark.parametrize(
     "command,task,extra,message",
@@ -804,3 +838,39 @@ def test_ablate_checks_tasks_before_loading_or_training(
     )
     assert code == 1
     assert err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_ablate_checks_ks_before_loading_or_training(tiny_world, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("called before --ks was checked")
+
+    monkeypatch.setattr(cli, "load_store", fail)
+    monkeypatch.setattr(cli, "train_alignment", fail)
+    dataset = f"a={tiny_world / 'store.paln'}:{tiny_world / 'triplets.csv'}"
+    code, err = run_captured(
+        capsys, "ablate", "--dataset", dataset, "--tasks", "retrieval", "--budget", 40,
+        "--epochs", 1, "--eval-labels", tiny_world / "instance_labels.csv",
+        "--eval-queries", tiny_world / "queries.txt", "--ks", "0", "--out", tmp_path / "o",
+    )
+    assert code == 1
+    assert err.strip().splitlines() == ["error: k must be >= 1, got 0"]
+
+
+def test_ablate_loads_its_eval_manifest_once(tiny_world, tmp_path, monkeypatch):
+    eval_manifest = tmp_path / "eval.csv"
+    eval_manifest.write_bytes((tiny_world / "triplets.csv").read_bytes())
+    loads = []
+
+    def counting_load(path):
+        loads.append(Path(path))
+        return load_manifest(path)
+
+    monkeypatch.setattr(cli, "load_manifest", counting_load)
+    store, manifest = tiny_world / "store.paln", tiny_world / "triplets.csv"
+    assert run(
+        "ablate", "--dataset", f"a={store}:{manifest}", "--dataset", f"b={store}:{manifest}",
+        "--tasks", "afc", "--eval-manifest", eval_manifest, "--steps", "1,2,3",
+        "--budget", 40, "--epochs", 1, "--lora-rank", 2, "--out", tmp_path / "o",
+    ) == 0
+    assert loads.count(eval_manifest) == 1
+    assert len(report_of(tmp_path / "o")["metrics"]["rows"]) == 6

@@ -6,6 +6,8 @@ import pytest
 from palign.errors import DataError
 from palign.retrieval import (
     CountDataset,
+    _fit_logistic,
+    _stratified_folds,
     ProbeConfig,
     PromptBundle,
     build_index,
@@ -375,3 +377,101 @@ class TestLinearProbe:
         r1 = linear_probe_classify(x[:60], y[:60], x[60:], y[60:], cfg)
         r2 = linear_probe_classify(x[:60], y[:60], x[60:], y[60:], cfg)
         assert r1 == r2
+
+
+def probe_objective(x, y, n_classes, c, w, b):
+    """The probe's objective and its gradient norm, written out apart from the solver."""
+    n = len(y)
+    lam = 1.0 / (c * n)
+    z = x @ w.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    probs = np.exp(z - log_norm[:, None])
+    diff = probs - np.eye(n_classes)[y]
+    gw = diff.T @ x / n + lam * w
+    gb = diff.mean(axis=0)
+    value = (log_norm - z[np.arange(n), y]).mean() + 0.5 * lam * (w**2).sum()
+    return value, np.sqrt((gw**2).sum() + (gb**2).sum())
+
+
+def gradient_descent_reference(x, y, n_classes, c, steps=20_000):
+    """Plain gradient descent at step 1/L, L a bound on the objective's curvature."""
+    n, d = x.shape
+    lam = 1.0 / (c * n)
+    xa = np.hstack([x, np.ones((n, 1))])
+    # softmax curvature is at most 1/2 per unit of the data's second moment
+    lipschitz = 0.5 * np.linalg.eigvalsh(xa.T @ xa / n).max() + lam
+    w, b = np.zeros((n_classes, d)), np.zeros(n_classes)
+    onehot = np.eye(n_classes)[y]
+    for _ in range(steps):
+        z = x @ w.T + b
+        z -= z.max(axis=1, keepdims=True)
+        probs = np.exp(z)
+        probs /= probs.sum(axis=1, keepdims=True)
+        diff = probs - onehot
+        w = w - (diff.T @ x / n + lam * w) / lipschitz
+        b = b - diff.mean(axis=0) / lipschitz
+    return w, b
+
+
+def predict(w, b, x):
+    return np.argmax(x @ w.T + b, axis=1)
+
+
+class TestProbeSolver:
+    @pytest.mark.parametrize("spread", [0.3, 2.5], ids=["separable", "noisy"])
+    def test_every_fit_meets_the_gradient_tolerance(self, spread):
+        rng = np.random.default_rng(20)
+        x, y = blobs(rng, 30, 3, 5, spread=spread)
+        cfg = ProbeConfig()
+        fit = None
+        for c in cfg.c_grid:
+            for init in (None, fit):
+                w, b = _fit_logistic(x, y, 3, c, cfg, init=init)
+                assert probe_objective(x, y, 3, c, w, b)[1] < cfg.grad_tol, (c, init is None)
+            fit = (w, b)
+
+    @pytest.mark.parametrize("c", [1.0, 10.0])
+    def test_agrees_with_gradient_descent(self, c):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(60, 3))  # three overlapping classes of a noisy linear rule
+        y = (x @ rng.normal(size=(3, 3)) + rng.normal(size=(60, 3))).argmax(axis=1)
+        w, b = _fit_logistic(x, y, 3, c, ProbeConfig())
+        w_ref, b_ref = gradient_descent_reference(x, y, 3, c)
+        value, _ = probe_objective(x, y, 3, c, w, b)
+        value_ref, gnorm_ref = probe_objective(x, y, 3, c, w_ref, b_ref)
+        assert gnorm_ref < 1e-9  # the reference itself converged
+        assert abs(value - value_ref) < 1e-8
+        grid = rng.normal(size=(500, 3)) * 4.0
+        np.testing.assert_array_equal(predict(w, b, x), predict(w_ref, b_ref, x))
+        np.testing.assert_array_equal(predict(w, b, grid), predict(w_ref, b_ref, grid))
+
+    def test_warm_and_cold_starts_predict_alike(self):
+        rng = np.random.default_rng(22)
+        x, y = blobs(rng, 25, 3, 6, spread=2.0)
+        cfg = ProbeConfig(folds=5, seed=4)
+        assignment = _stratified_folds(y, cfg.folds, np.random.default_rng(cfg.seed))
+        for fold in range(cfg.folds):
+            held = assignment == fold
+            warm = None
+            for c in cfg.c_grid:
+                warm = _fit_logistic(x[~held], y[~held], 3, c, cfg, init=warm)
+                cold = _fit_logistic(x[~held], y[~held], 3, c, cfg)
+                np.testing.assert_array_equal(predict(*warm, x[held]), predict(*cold, x[held]))
+
+    def test_step_cap_raises(self):
+        rng = np.random.default_rng(23)
+        x, y = blobs(rng, 20, 2, 4, spread=1.0)
+        with pytest.raises(DataError, match=r"probe fit at C=1 did not converge: gradient norm"):
+            linear_probe_classify(x, y, x, y, ProbeConfig(c_grid=(1.0,), folds=2, max_iter=1))
+
+    def test_class_absent_from_train_converges(self):
+        rng = np.random.default_rng(24)
+        x, y = blobs(rng, 30, 3, 4, spread=1.0)
+        train = y < 2  # class 2 shows up in val only
+        cfg = ProbeConfig(c_grid=(1.0, 100.0, 1e4), folds=3, seed=5)
+        result = linear_probe_classify(x[train], y[train], x, y, cfg)
+        assert result.val_accuracy <= 2 / 3 + 1e-12  # no fit predicts the absent class
+        w, b = _fit_logistic(x[train], y[train], 3, 1e4, cfg)
+        assert probe_objective(x[train], y[train], 3, 1e4, w, b)[1] < cfg.grad_tol
+        assert np.all(predict(w, b, x) != 2)
