@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 import struct
 import sys
@@ -448,17 +449,48 @@ class SyntheticWorld:
     latent_agreement: float  # fraction of triplets ranked correctly in latent space
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float64 vector: the value np.linalg.norm(v) takes
+    (it computes sqrt(v.dot(v)) for 1-D input), without its per-call cost."""
+    return math.sqrt(v.dot(v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
-def _latent_cosdist(u: np.ndarray, v: np.ndarray) -> float:
-    return 1.0 - float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+def _cosdist(u: np.ndarray, norm_u: float, v: np.ndarray) -> float:
+    """Cosine distance of u and v, given norm_u = _norm(u)."""
+    return 1.0 - float(u.dot(v)) / (norm_u * _norm(v))
 
 
 def _class_latent(rng, centers: np.ndarray, k: int) -> np.ndarray:
     f = centers.shape[1]
     return _unit(_CLASS_PULL * centers[k] + rng.normal(size=f))
+
+
+# The samplers below fix the world bit for bit: a seed's world depends on the
+# order of their draws and on the float operations that turn draws into kept
+# values, so a rewrite must keep both. Each attempt makes all of its draws
+# before any check, with a few draws merged into one call where the stream is
+# the same: rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), and normal
+# draws of sizes a and b in a row are one draw of size a + b split at a.
+
+
+def _uniform(bounds: tuple[float, float], u: float) -> float:
+    """The value rng.uniform(*bounds) takes when its rng.random() draw is u."""
+    lo, hi = bounds
+    return lo + (hi - lo) * u
+
+
+def _offset(z: np.ndarray, subset: np.ndarray, draws: np.ndarray, radius: float) -> np.ndarray:
+    """z + radius * unit(w) for w zero apart from `draws` at `subset`."""
+    w = np.zeros(z.size)
+    w[subset] = draws
+    w /= _norm(w)
+    w *= radius
+    w += z
+    return w
 
 
 def _perturb_pair(
@@ -471,27 +503,27 @@ def _perturb_pair(
     band, so the anisotropic embedding map decides its frozen ranking.
     """
     f = z.size
+    h = f // 2
+    norm_z = _norm(z)
     ez = emb_map @ z
+    norm_ez = _norm(ez)
     for _ in range(_MAX_RESAMPLE):
         order = rng.permutation(f)
-        subsets = (order[: f // 2], order[f // 2 :])
-        base = rng.uniform(*_PERT_BASE)
-        radii = (base, base * rng.uniform(*_PERT_RATIO))
-        out = []
-        for subset, radius in zip(subsets, radii):
-            w = np.zeros(f)
-            w[subset] = rng.normal(size=subset.size)
-            out.append(z + radius * _unit(w))
-        if _latent_cosdist(z, out[0]) >= _latent_cosdist(z, out[1]):
+        u_base, u_ratio = rng.random(2).tolist()
+        g = rng.normal(size=f)
+        base = _uniform(_PERT_BASE, u_base)
+        near = _offset(z, order[:h], g[:h], base)
+        far = _offset(z, order[h:], g[h:], base * _uniform(_PERT_RATIO, u_ratio))
+        if _cosdist(z, norm_z, near) >= _cosdist(z, norm_z, far):
             continue
-        d_near = _latent_cosdist(ez, emb_map @ out[0])
-        d_far = _latent_cosdist(ez, emb_map @ out[1])
+        d_near = _cosdist(ez, norm_ez, emb_map @ near)
+        d_far = _cosdist(ez, norm_ez, emb_map @ far)
         rel_gap = (d_far - d_near) / (0.5 * (d_far + d_near))
         if contested != (abs(rel_gap) < _TIE_BAND):
             continue
         if not contested and rel_gap < 0:
             continue  # uncontested pairs must be frozen-correct
-        return out[0], out[1]
+        return near, far
     raise DataError("could not realize a correctly-ranked perturbation pair")
 
 
@@ -512,29 +544,31 @@ def _instance_triple(
     embedding warp decides their frozen ranking.
     """
     f = z.size
+    h = f // 2
     for _ in range(_MAX_RESAMPLE):
         order = rng.permutation(f)
-        subsets = (order[: f // 2], order[f // 2 :])
-        r_qry = rng.uniform(*_VIEW_PERT)
-        r_mate = rng.uniform(*_VIEW_PERT)
-        views = []
-        for subset, radius in zip(subsets, (r_qry, r_mate)):
-            w = np.zeros(f)
-            w[subset] = rng.normal(size=subset.size)
-            views.append(z + radius * _unit(w))
-        qry, mate = views
-        decoy_center = z + max(r_qry, r_mate) * rng.uniform(*_DECOY_DIST) * _unit(
-            rng.normal(size=f)
-        )
-        w = np.zeros(f)
-        subset = rng.permutation(f)[: f // 2]
-        w[subset] = rng.normal(size=subset.size)
-        decoy = decoy_center + rng.uniform(*_VIEW_PERT) * _unit(w)
-        if _latent_cosdist(qry, mate) >= _latent_cosdist(qry, decoy):
+        u_qry, u_mate = rng.random(2).tolist()
+        g = rng.normal(size=f)
+        u_center = rng.random()
+        center = rng.normal(size=f)
+        decoy_subset = rng.permutation(f)[:h]
+        g_decoy = rng.normal(size=h)
+        u_decoy = rng.random()
+        r_qry, r_mate = _uniform(_VIEW_PERT, u_qry), _uniform(_VIEW_PERT, u_mate)
+        qry = _offset(z, order[:h], g[:h], r_qry)
+        mate = _offset(z, order[h:], g[h:], r_mate)
+        # decoy center: z + max(r_qry, r_mate) * _uniform(_DECOY_DIST) * unit(center)
+        center /= _norm(center)
+        center *= max(r_qry, r_mate) * _uniform(_DECOY_DIST, u_center)
+        center += z
+        decoy = _offset(center, decoy_subset, g_decoy, _uniform(_VIEW_PERT, u_decoy))
+        norm_qry = _norm(qry)
+        if _cosdist(qry, norm_qry, mate) >= _cosdist(qry, norm_qry, decoy):
             continue
         eq = emb_map @ qry
-        d_mate = _latent_cosdist(eq, emb_map @ mate)
-        d_decoy = _latent_cosdist(eq, emb_map @ decoy)
+        norm_eq = _norm(eq)
+        d_mate = _cosdist(eq, norm_eq, emb_map @ mate)
+        d_decoy = _cosdist(eq, norm_eq, emb_map @ decoy)
         rel_gap = (d_decoy - d_mate) / (0.5 * (d_decoy + d_mate))
         if contested != (abs(rel_gap) < _TIE_BAND):
             continue
@@ -569,9 +603,18 @@ def _patch_maps(rng, s: int, d: int, f: int) -> np.ndarray:
 
 
 def generate_world(spec: SyntheticFactorSpec, n_instances: int = 200) -> SyntheticWorld:
-    """Build the full synthetic world; see SyntheticFactorSpec."""
+    """Build the full synthetic world; see SyntheticFactorSpec.
+
+    A seed's world is fixed bit for bit: the same spec and n_instances give
+    the same ids, embedding bytes, manifest, labels and queries on every run
+    (on one CPU and BLAS; float kernels differ across them). The order of the
+    random draws is part of that contract; tests/test_generator.py pins it
+    against a reference copy of the generator.
+    """
     if spec.factor_count < 2:
         raise DataError("factor_count must be >= 2 so variations can use disjoint subsets")
+    if n_instances < 0:
+        raise DataError(f"n_instances must be >= 0, got {n_instances}")
     f = spec.factor_count
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(size=(_N_CLASSES, f))
@@ -594,12 +637,12 @@ def generate_world(spec: SyntheticFactorSpec, n_instances: int = 200) -> Synthet
         ids.append(id)
         cls = emb_map @ z
         if sigma > 0:
-            cls = cls + sigma * (np.linalg.norm(cls) / np.sqrt(spec.d)) * rng.normal(size=spec.d)
+            cls = cls + sigma * (_norm(cls) / np.sqrt(spec.d)) * rng.normal(size=spec.d)
         cls_rows[row] = cls
         if patch_maps is not None:
             patch = patch_maps @ z
             if sigma > 0:
-                rms = np.linalg.norm(patch) / np.sqrt(patch.size)
+                rms = _norm(patch.ravel()) / np.sqrt(patch.size)
                 patch = patch + sigma * rms * rng.normal(size=patch.shape)
             patch_rows[row] = patch.reshape(spec.s, spec.s, spec.d)
 

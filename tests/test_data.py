@@ -440,6 +440,11 @@ class TestSyntheticGenerator:
             mate = qid.replace("_qry", "_gal")
             assert world.instance_labels[mate] == world.instance_labels[qid]
 
+    def test_negative_instances_rejected(self):
+        spec = SyntheticFactorSpec(n_triplets=5, d=8, factor_count=4, seed=0)
+        with pytest.raises(DataError, match=r"^n_instances must be >= 0, got -1$"):
+            generate_world(spec, n_instances=-1)
+
     def test_factor_count_one_rejected(self):
         spec = SyntheticFactorSpec(n_triplets=5, d=8, factor_count=1, seed=0)
         with pytest.raises(PalignError):
