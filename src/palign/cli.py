@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -451,13 +452,16 @@ def _dense_inputs(args, config, store):
     if store.patch_side == 0:
         raise DataError("dense evaluation needs a store with patch grids (s > 0)")
     target_dir = Path(args.targets)
+    # an id's target is an entry of the directory itself, so an id such as
+    # "../x" cannot name a file outside it
+    entries = set(os.listdir(target_dir))
     backbone = _backbone_for(store, config)
     features, targets, kinds = [], [], set()
     for row, id in enumerate(store.ids):
-        path = target_dir / f"{id}.palt"
-        if not path.exists():
+        name = f"{id}.palt"
+        if name not in entries:
             continue
-        target, kind = load_target(path)
+        target, kind = load_target(target_dir / name)
         kinds.add(kind)
         features.append(backbone.adapt(store.patch[row].astype(np.float64)))
         targets.append(target)

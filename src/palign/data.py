@@ -8,8 +8,10 @@ d float32 cls values, and s*s*d float32 patch values when s > 0.
 
 In memory an ``EmbeddingStore`` holds the same records as columns: the ids
 in file order, an id -> row map, one (n, d) float32 CLS matrix and, when
-s > 0, one (n, s, s, d) float32 patch array. The file format is unchanged;
-``load_store`` reads each record's floats straight into its row.
+s > 0, one (n, s, s, d) float32 patch array. ``load_store`` allocates the
+columns from the header, then walks the records with the file's own read
+and readinto calls: one bounds check per record, and each record's floats
+go straight from the file into their rows, with no second copy of the file.
 
 Triplet manifest: CSV with header ``ref,x0,x1,y``, UTF-8, LF endings.
 Label file: CSV with header ``id,label``. Both quote a field only where CSV
@@ -179,11 +181,6 @@ class BoundedReader:
         self._reserve(n, what)
         return self.f.read(n)
 
-    def read_into(self, out: np.ndarray, what: str) -> None:
-        """Fill the C-contiguous array `out` with the next out.nbytes bytes."""
-        self._reserve(out.nbytes, what)
-        self.f.readinto(memoryview(out).cast("B"))
-
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
@@ -194,31 +191,59 @@ class BoundedReader:
             raise FormatError(f"{self.kind} file: {what} is not UTF-8 ({exc})") from None
 
 
+_U32 = struct.Struct("<I")
+
+
 def load_store(path) -> EmbeddingStore:
     """Read a store into preallocated columns, one record's floats at a time.
 
-    The header's record count is checked against the bytes left before
-    anything is allocated, so a lying count fails as FormatError.
+    `BoundedReader` checks the magic, the version and the header. The header's
+    record count is checked against the bytes left before anything is
+    allocated, so a lying count fails as FormatError. Each record is then
+    checked against the bytes left once, after its id length is read, and its
+    floats are read straight into their rows of the columns: the file is never
+    held in memory a second time.
     """
     with open(path, "rb") as f:
         reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
         dim, side, count = reader.unpack("<IIQ", "header")
         smallest = 4 + 4 * dim * (1 + side * side)  # a record with an empty id
-        if count * smallest > reader.left or smallest > sys.maxsize:
+        left = reader.left
+        if count * smallest > left or smallest > sys.maxsize:
             raise FormatError(
                 f"truncated store file: header declares {count} records of at least"
-                f" {smallest} bytes, but {reader.left} bytes follow"
+                f" {smallest} bytes, but {left} bytes follow"
             )
         ids = []
         cls = np.empty((count, dim), dtype="<f4")
         patch = np.empty((count, side, side, dim), dtype="<f4") if side else None
+        # flat byte views of the columns; memoryview(...).cast("B") would
+        # refuse a zero-record array
+        cls_bytes = memoryview(cls.view(np.uint8).reshape(-1))
+        patch_bytes = None if patch is None else memoryview(patch.view(np.uint8).reshape(-1))
+        cls_len, patch_len = 4 * dim, 4 * dim * side * side
+        read, readinto, unpack = f.read, f.readinto, _U32.unpack
         for i in range(count):
-            (id_len,) = reader.unpack("<I", "id length")
-            ids.append(reader.text(id_len, "id"))
-            reader.read_into(cls[i], f"cls of {ids[-1]!r}")
-            if patch is not None:
-                reader.read_into(patch[i], f"patch of {ids[-1]!r}")
-        if reader.left:
+            if left < 4:
+                raise FormatError(
+                    f"truncated store file while reading id length (4 > {left} bytes left)"
+                )
+            (id_len,) = unpack(read(4))
+            need = smallest + id_len
+            if need > left:
+                raise FormatError(
+                    f"truncated store file while reading record {i}"
+                    f" ({need} > {left} bytes left)"
+                )
+            left -= need
+            try:
+                ids.append(read(id_len).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"store file: id is not UTF-8 ({exc})") from None
+            readinto(cls_bytes[i * cls_len : (i + 1) * cls_len])
+            if patch_bytes is not None:
+                readinto(patch_bytes[i * patch_len : (i + 1) * patch_len])
+        if left:
             raise FormatError("trailing bytes after final record")
     return EmbeddingStore(ids, cls, patch)
 

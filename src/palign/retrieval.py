@@ -163,26 +163,48 @@ class CountDataset:
         return cls(ids=ids, counts=counts, vectors=vectors)
 
 
-def _majority_count(neighbor_counts: np.ndarray) -> int:
-    """Most frequent count; on a tie, the mean count rounded half-up."""
-    values, freq = np.unique(neighbor_counts, return_counts=True)
-    top = freq.max()
-    modes = values[freq == top]
-    if len(modes) == 1:
-        return int(modes[0])
-    return int(np.floor(neighbor_counts.mean() + 0.5))
+def _ranked(sims: np.ndarray) -> np.ndarray:
+    """Each row's columns, most similar first, ties in column order: the
+    stable argsort of the negated row. Negates `sims` in place."""
+    return np.argsort(np.negative(sims, out=sims), axis=1, kind="stable")
 
 
-def _knn_predict(sims_row: np.ndarray, counts: np.ndarray, k: int) -> int:
-    order = np.argsort(-sims_row, kind="stable")[:k]
-    return _majority_count(counts[order])
+def _vote(counts: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """The count each row of the (n, k) index array `neighbors` votes for: the
+    most frequent of its neighbours' counts; when several tie as most frequent,
+    the mean of all k counts rounded half-up.
+
+    Each row's k counts are sorted and read off as runs of equal values, so
+    memory stays O(n*k). The mean is taken over the sorted counts: integer
+    sums are exact in float64, so the order does not change it.
+    """
+    votes = counts[neighbors]
+    votes.sort(axis=1)
+    n, k = votes.shape
+    # int32 halves the (n, k) position array; k < n_train, far below 2**31
+    pos = np.arange(k, dtype=np.int32)
+    new_run = np.ones((n, k), dtype=bool)
+    np.not_equal(votes[:, 1:], votes[:, :-1], out=new_run[:, 1:])
+    # run_len[i, j]: the counts of row i up to position j that equal votes[i, j]
+    run_len = np.where(new_run, pos, np.int32(0))
+    np.maximum.accumulate(run_len, axis=1, out=run_len)
+    np.subtract(pos + 1, run_len, out=run_len)
+    rows = np.arange(n)
+    last = run_len.argmax(axis=1)  # the end of the first longest run
+    longest = run_len[rows, last]
+    # a run of length L reaches each of 1..L once, so this counts the modes
+    n_modes = np.count_nonzero(run_len == longest[:, None], axis=1)
+    tie = np.floor(votes.mean(axis=1) + 0.5).astype(np.int64)
+    return np.where(n_modes == 1, votes[rows, last], tie)
 
 
 def knn_count_eval(train: CountDataset, test: CountDataset, ks=(1, 3, 5, 10)) -> dict:
     """Count prediction by k-nearest-neighbor vote over cosine similarity.
 
     k is selected by leave-one-out classification accuracy on the train
-    split (smallest k wins ties) and then scored on the test split.
+    split (smallest k wins ties) and then scored on the test split. Each
+    similarity matrix is sorted once; the votes for every row and k are
+    then taken as arrays.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -198,14 +220,13 @@ def knn_count_eval(train: CountDataset, test: CountDataset, ks=(1, 3, 5, 10)) ->
     index = build_index(train.vectors, train.ids)
     train_sims = index.matrix @ index.matrix.T
     np.fill_diagonal(train_sims, -np.inf)  # leave-one-out
+    ranked = _ranked(train_sims)
+    del train_sims  # frees n**2 floats before the (n, k) votes
 
     loo_accuracy = {}
     for k in ks:
-        correct = sum(
-            _knn_predict(train_sims[i], train.counts, k) == train.counts[i]
-            for i in range(len(train))
-        )
-        loo_accuracy[k] = correct / len(train)
+        correct = np.count_nonzero(_vote(train.counts, ranked[:, :k]) == train.counts)
+        loo_accuracy[k] = int(correct) / len(train)
     best = max(loo_accuracy.values())
     chosen_k = min(k for k in ks if loo_accuracy[k] == best)
 
@@ -214,9 +235,7 @@ def knn_count_eval(train: CountDataset, test: CountDataset, ks=(1, 3, 5, 10)) ->
         bad = test.ids[int(np.argmin(test_norms))]
         raise DataError(f"zero-norm test vector for id {bad!r}")
     test_sims = (test.vectors / test_norms) @ index.matrix.T
-    preds = np.array(
-        [_knn_predict(test_sims[i], train.counts, chosen_k) for i in range(len(test))]
-    )
+    preds = _vote(train.counts, _ranked(test_sims)[:, :chosen_k])
     err = preds - test.counts
     return {
         "chosen_k": chosen_k,

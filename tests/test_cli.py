@@ -791,6 +791,28 @@ def test_seg_image_with_empty_mask_fails_clean(tiny_world, tmp_path, capsys):
     assert err.strip().splitlines() == ["error: empty valid mask"]
 
 
+
+def test_dense_targets_stay_inside_targets_dir(tmp_path, capsys):
+    # a store id "../outside" must not reach outside.palt beside --targets
+    rng = np.random.default_rng(2)
+    ids = ["../outside", "a", "b", "c"]
+    store = tmp_path / "store.paln"
+    save_store(EmbeddingStore(ids, rng.normal(size=(4, 8)), rng.normal(size=(4, 2, 2, 8))), store)
+    targets = tmp_path / "targets"
+    targets.mkdir()
+    for path in (tmp_path / "outside.palt", *(targets / f"{id}.palt" for id in ids[1:])):
+        save_target(DenseTarget(rng.integers(0, 3, (4, 4)), np.ones((4, 4))), path, "seg")
+    argv = ["eval", "seg", "--store", store, "--lora-rank", 2, "--epochs", 1]
+    assert run(*argv, "--targets", targets, "--out", tmp_path / "o") == 0
+    metrics = report_of(tmp_path / "o")["metrics"]
+    assert metrics["n_train_images"] + metrics["n_test_images"] == 3
+    # a missing or non-directory --targets still fails clean
+    for bad in (tmp_path / "missing", tmp_path / "outside.palt"):
+        code, err = run_captured(capsys, *argv, "--targets", bad, "--out", tmp_path / "o2")
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 # every eval task's settings beyond --feature-mode, --seed, --lora-rank,
 # --lora-alpha, --adapters and --csv
 EVAL_OWN_SETTINGS = {

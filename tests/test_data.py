@@ -1,6 +1,7 @@
 """Store/manifest round-trips, triplet construction, and the synthetic generator."""
 
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palign.data import (
+    STORE_MAGIC,
+    STORE_VERSION,
+    BoundedReader,
     EmbeddingStore,
     SyntheticFactorSpec,
     TripletEntry,
@@ -228,6 +232,116 @@ class TestStoreIO:
     def test_patch_dim_mismatch_rejected(self):
         with pytest.raises(DataError, match="patch shape"):
             EmbeddingStore(["x"], np.zeros((1, 3)), np.zeros((1, 2, 2, 4)))
+
+
+def reference_load_store(path) -> EmbeddingStore:
+    """The record-by-record store loader that `load_store` replaced, kept as
+    the oracle: every size goes through BoundedReader's checks, one call per
+    field."""
+
+    def read_into(reader, out, what):
+        reader._reserve(out.nbytes, what)
+        reader.f.readinto(memoryview(out).cast("B"))
+
+    with open(path, "rb") as f:
+        reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
+        dim, side, count = reader.unpack("<IIQ", "header")
+        smallest = 4 + 4 * dim * (1 + side * side)
+        if count * smallest > reader.left or smallest > sys.maxsize:
+            raise FormatError("truncated store file")
+        ids = []
+        cls = np.empty((count, dim), dtype="<f4")
+        patch = np.empty((count, side, side, dim), dtype="<f4") if side else None
+        for i in range(count):
+            (id_len,) = reader.unpack("<I", "id length")
+            ids.append(reader.text(id_len, "id"))
+            read_into(reader, cls[i], f"cls of {ids[-1]!r}")
+            if patch is not None:
+                read_into(reader, patch[i], f"patch of {ids[-1]!r}")
+        if reader.left:
+            raise FormatError("trailing bytes after final record")
+    return EmbeddingStore(ids, cls, patch)
+
+
+def load_or_error(load, path):
+    """The store `load` reads from path, or the palign error class it raises."""
+    try:
+        return load(path)
+    except PalignError as exc:
+        return type(exc)
+
+
+# ids of 1-4 characters of 1-4 UTF-8 bytes each
+STORE_IDS = st.text(st.sampled_from("aZ_/.,é中😀\x00"), min_size=1, max_size=4)
+
+
+class TestStoreLoaderOracle:
+    """load_store against the record-by-record reference loader."""
+
+    def draw_store(self, data, d, s, n, seed):
+        ids = data.draw(st.lists(STORE_IDS, min_size=n, max_size=n, unique=True))
+        store = small_store(d=d, s=s, n=n, seed=seed)
+        return EmbeddingStore(ids, store.cls, store.patch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        s=st.integers(0, 3),
+        n=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_matches_reference(self, data, d, s, n, seed, tmp_path_factory):
+        store = self.draw_store(data, d, s, n, seed)
+        path = tmp_path_factory.mktemp("oracle") / "s.paln"
+        save_store(store, path)
+        for loaded in (load_store(path), reference_load_store(path)):
+            assert loaded.ids == store.ids
+            assert (loaded.dim, loaded.patch_side) == (d, s)
+            assert loaded.cls.tobytes() == store.cls.tobytes()
+            assert (loaded.patch is None) == (s == 0)
+            if s:
+                assert loaded.patch.tobytes() == store.patch.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        s=st.integers(0, 2),
+        n=st.integers(0, 4),
+        kind=st.sampled_from(["truncate", "flip", "count", "id length"]),
+    )
+    def test_corrupt_file_matches_reference(self, data, d, s, n, kind, tmp_path_factory):
+        store = self.draw_store(data, d, s, n, seed=n)
+        path = tmp_path_factory.mktemp("oracle") / "s.paln"
+        save_store(store, path)
+        raw = bytearray(path.read_bytes())
+        if kind == "truncate":
+            del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+        elif kind == "flip":
+            bits = st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)
+            for bit in data.draw(bits):
+                raw[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "count":
+            raw[16:24] = struct.pack("<Q", data.draw(st.integers(0, 2**64 - 1)))
+        elif n:
+            record = data.draw(st.integers(0, n - 1))
+            payload = 4 * d * (1 + s * s)
+            at = 24 + sum(4 + len(id.encode()) + payload for id in store.ids[:record])
+            id_len = data.draw(st.one_of(st.integers(0, 24), st.integers(0, 2**32 - 1)))
+            raw[at : at + 4] = struct.pack("<I", id_len)
+        path.write_bytes(bytes(raw))
+        got = load_or_error(load_store, path)
+        expected = load_or_error(reference_load_store, path)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert not isinstance(got, type), got
+            assert got.ids == expected.ids
+            assert got.cls.tobytes() == expected.cls.tobytes()
+            assert (got.patch is None) == (expected.patch is None)
+            if got.patch is not None:
+                assert got.patch.tobytes() == expected.patch.tobytes()
 
 
 class TestManifestIO:

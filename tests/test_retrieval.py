@@ -1,12 +1,17 @@
 """Exact-search oracles, counting, RAG selection, and the linear probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palign.errors import DataError
 from palign.retrieval import (
     CountDataset,
     _fit_logistic,
+    _vote,
     _stratified_folds,
     ProbeConfig,
     PromptBundle,
@@ -166,6 +171,117 @@ def knn_loo_oracle(vectors, counts, ks):
             correct += pred == counts[i]
         acc[k] = correct / n
     return acc
+
+
+def reference_majority_count(neighbor_counts: np.ndarray) -> int:
+    """The per-row vote that `_vote` replaced: most frequent count; on a tie,
+    the mean count rounded half-up."""
+    values, freq = np.unique(neighbor_counts, return_counts=True)
+    top = freq.max()
+    modes = values[freq == top]
+    if len(modes) == 1:
+        return int(modes[0])
+    return int(np.floor(neighbor_counts.mean() + 0.5))
+
+
+def reference_knn_predict(sims_row: np.ndarray, counts: np.ndarray, k: int) -> int:
+    order = np.argsort(-sims_row, kind="stable")[:k]
+    return reference_majority_count(counts[order])
+
+
+def reference_knn_count_eval(train: CountDataset, test: CountDataset, ks) -> dict:
+    """knn_count_eval as it was before its vote took all rows at once: one
+    sort and one vote per row and k."""
+    ks = sorted(set(int(k) for k in ks))
+    index = build_index(train.vectors, train.ids)
+    train_sims = index.matrix @ index.matrix.T
+    np.fill_diagonal(train_sims, -np.inf)
+    loo_accuracy = {}
+    for k in ks:
+        correct = sum(
+            reference_knn_predict(train_sims[i], train.counts, k) == train.counts[i]
+            for i in range(len(train))
+        )
+        loo_accuracy[k] = correct / len(train)
+    best = max(loo_accuracy.values())
+    chosen_k = min(k for k in ks if loo_accuracy[k] == best)
+    test_norms = np.linalg.norm(test.vectors, axis=1, keepdims=True)
+    test_sims = (test.vectors / test_norms) @ index.matrix.T
+    preds = np.array(
+        [reference_knn_predict(test_sims[i], train.counts, chosen_k) for i in range(len(test))]
+    )
+    err = preds - test.counts
+    return {
+        "chosen_k": chosen_k,
+        "loo_accuracy": {str(k): loo_accuracy[k] for k in ks},
+        "mae": float(np.abs(err).mean()),
+        "rmse": float(np.sqrt((err.astype(np.float64) ** 2).mean())),
+    }
+
+
+def tie_heavy_counts(rng, n: int, d: int, values) -> CountDataset:
+    """Small-integer vectors, so many cosine similarities tie exactly, with
+    counts drawn from `values`."""
+    vectors = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    vectors[~vectors.any(axis=1), 0] = 1.0  # no zero-norm rows
+    counts = rng.choice(np.asarray(values), size=n)
+    return CountDataset(ids=[f"x{i}" for i in range(n)], counts=counts, vectors=vectors)
+
+
+class TestKnnVoteOracle:
+    """knn_count_eval's array vote against the per-row vote it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 30),
+        d=st.integers(1, 3),
+        values=st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_report_matches_reference(self, data, n, d, values, seed):
+        rng = np.random.default_rng(seed)
+        train = tie_heavy_counts(rng, n, d, values)
+        test = tie_heavy_counts(rng, data.draw(st.integers(1, 8)), d, values)
+        ks = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+        assert knn_count_eval(train, test, ks) == reference_knn_count_eval(train, test, ks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        values=st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_vote_matches_reference_with_negative_counts(self, k, values, seed):
+        # rows of 1-3 distinct counts, negative ones too: the tie mean rounds
+        # half-up, toward +inf, for every sign
+        rng = np.random.default_rng(seed)
+        counts = rng.choice(np.asarray(values), size=20)
+        neighbors = rng.integers(0, 20, size=(16, k))
+        expected = [reference_majority_count(counts[row]) for row in neighbors]
+        assert _vote(counts, neighbors).tolist() == expected
+
+    def test_every_k_up_to_n_minus_one(self):
+        rng = np.random.default_rng(3)
+        train = tie_heavy_counts(rng, 12, 2, [1, 2, 3])
+        test = tie_heavy_counts(rng, 5, 2, [1, 2, 3])
+        ks = range(1, 12)
+        assert knn_count_eval(train, test, ks) == reference_knn_count_eval(train, test, ks)
+
+    def test_largest_k_memory_is_linear_in_n_times_k(self):
+        # n=1,500 and k=1,499: an (n, k, k) equality cube would take 3.4 GB;
+        # the (n, n) similarities and rankings alone take 18 MB each
+        rng = np.random.default_rng(4)
+        train = tie_heavy_counts(rng, 1500, 3, [0, 1, 2])
+        test = tie_heavy_counts(rng, 10, 3, [0, 1, 2])
+        tracemalloc.start()
+        try:
+            out = knn_count_eval(train, test, ks=[1, 1499])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert out == reference_knn_count_eval(train, test, ks=[1, 1499])
 
 
 class TestKnnCount:
