@@ -83,7 +83,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad):
-            return (_unbroadcast(grad, self.shape), _unbroadcast(grad, other.shape))
+            return (
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other.shape) if other.requires_grad else None,
+            )
 
         return self._from_op(out_data, (self, other), backward)
 
@@ -104,8 +107,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad * other.data, self.shape),
-                _unbroadcast(grad * self.data, other.shape),
+                _unbroadcast(grad * other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other.shape) if other.requires_grad else None,
             )
 
         return self._from_op(out_data, (self, other), backward)
@@ -117,10 +120,11 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad):
-            return (
-                _unbroadcast(grad / other.data, self.shape),
-                _unbroadcast(-grad * self.data / (other.data**2), other.shape),
-            )
+            ga = _unbroadcast(grad / other.data, self.shape) if self.requires_grad else None
+            gb = None
+            if other.requires_grad:
+                gb = _unbroadcast(-grad * self.data / (other.data**2), other.shape)
+            return (ga, gb)
 
         return self._from_op(out_data, (self, other), backward)
 
@@ -320,10 +324,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; the max shift is treated as a constant."""
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    e = (x - Tensor(shift)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax as one op: y = exp(x - max) / sum, with the
+    closed-form backward y * (g - sum(g * y))."""
+    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(grad):
+        return (out_data * (grad - (grad * out_data).sum(axis=axis, keepdims=True)),)
+
+    return Tensor._from_op(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:

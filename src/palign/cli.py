@@ -345,6 +345,10 @@ def _recall(featurize, ids, labels_path, queries_path, ks: str) -> dict:
 
 def cmd_synth(args, config) -> int:
     t0 = time.time()
+    if config["factors"] < 3:
+        # with two, the generator gives up on nearly every world, and only
+        # after thousands of draws
+        raise DataError(f"--factors must be >= 3, got {config['factors']}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = SyntheticFactorSpec(

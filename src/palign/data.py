@@ -419,6 +419,11 @@ class SyntheticFactorSpec:
     fixed anisotropic linear map, so raw embedding cosine only partially
     agrees with the ground truth while a low-rank linear correction can
     recover it.
+
+    The realizable minimum of `factor_count` is 3. With 2, each variation
+    perturbs a single factor and `generate_world` gives up on nearly every
+    world of more than a few triplets; `palign synth` refuses `--factors`
+    below 3.
     """
 
     n_triplets: int

@@ -2,8 +2,8 @@
 
 Both heads are single linear layers on patch tokens. Predictions made at
 the token grid reach full-resolution targets by nearest-neighbor upsampling:
-each pixel reads the token whose cell holds it. Training builds one graph
-per batch, with softmax per token before one gather to the pixels.
+each pixel reads the token whose cell holds it. So the training losses group
+by token: one graph per batch over the tokens and per-token target statistics.
 
 The depth head classifies into bins; its training loss is the
 scale-invariant log loss applied to the probability-weighted bin centers:
@@ -29,8 +29,8 @@ from .autodiff import Tensor, softmax
 from .errors import DataError, FormatError
 
 TARGET_MAGIC = b"PALT"
-_KIND_SEG = 0
-_KIND_DEPTH = 1
+# kind byte = position: name -> (stored dtype, in-memory dtype)
+_KINDS = {"seg": ("<u2", np.int64), "depth": ("<f4", np.float64)}
 
 SILOG_EPS = 1e-3
 SILOG_LAMBDA = 0.15
@@ -62,16 +62,14 @@ class DenseTarget:
 
 def save_target(target: DenseTarget, path, kind: str) -> int:
     h, w = target.values.shape
-    if kind == "seg":
-        if target.values.min() < 0 or target.values.max() > 0xFFFF:
-            raise DataError("seg class ids must fit in u16")
-        kind_byte, payload = _KIND_SEG, target.values.astype("<u2").tobytes()
-    elif kind == "depth":
-        kind_byte, payload = _KIND_DEPTH, target.values.astype("<f4").tobytes()
-    else:
+    if kind not in _KINDS:
         raise DataError(f"kind must be 'seg' or 'depth', got {kind!r}")
+    if kind == "seg" and (target.values.min() < 0 or target.values.max() > 0xFFFF):
+        raise DataError("seg class ids must fit in u16")
+    payload = target.values.astype(_KINDS[kind][0]).tobytes()
     mask_bits = np.packbits(target.valid_mask.reshape(-1)).tobytes()
-    blob = TARGET_MAGIC + struct.pack("<IIB", h, w, kind_byte) + payload + mask_bits
+    header = struct.pack("<IIB", h, w, list(_KINDS).index(kind))
+    blob = TARGET_MAGIC + header + payload + mask_bits
     with open(path, "wb") as f:
         f.write(blob)
     return len(blob)
@@ -85,22 +83,17 @@ def load_target(path) -> tuple[DenseTarget, str]:
     if len(blob) < 13:
         raise FormatError("truncated target header")
     h, w, kind_byte = struct.unpack("<IIB", blob[4:13])
-    if kind_byte not in (_KIND_SEG, _KIND_DEPTH):
+    if kind_byte >= len(_KINDS):
         raise FormatError(f"unknown target kind byte {kind_byte}")
+    kind = list(_KINDS)[kind_byte]
+    stored, dtype = _KINDS[kind]
     n = h * w
-    item = 2 if kind_byte == _KIND_SEG else 4
-    mask_bytes = (n + 7) // 8
-    expected = 13 + n * item + mask_bytes
+    end = 13 + n * np.dtype(stored).itemsize
+    expected = end + (n + 7) // 8
     if len(blob) != expected:
         raise FormatError(f"target file is {len(blob)} bytes, expected {expected}")
-    payload = blob[13 : 13 + n * item]
-    if kind_byte == _KIND_SEG:
-        values = np.frombuffer(payload, dtype="<u2").astype(np.int64).reshape(h, w)
-        kind = "seg"
-    else:
-        values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w)
-        kind = "depth"
-    mask = np.unpackbits(np.frombuffer(blob[13 + n * item :], dtype=np.uint8))[:n]
+    values = np.frombuffer(blob[13:end], dtype=stored).astype(dtype).reshape(h, w)
+    mask = np.unpackbits(np.frombuffer(blob[end:], dtype=np.uint8))[:n]
     return DenseTarget(values=values, valid_mask=mask.astype(bool).reshape(h, w)), kind
 
 
@@ -156,11 +149,16 @@ def depth_decode(probs, binning: DepthBinning):
 def _jaccard_graph(probs: Tensor, onehot: np.ndarray) -> Tensor:
     """Per-image 1 - mean soft-Jaccard over classes present in prediction or target.
 
-    probs: (B, P, C) rows on the simplex; onehot: (B, P, C) constant. Both are
-    zero on padded pixels. An image with a pixel always has a present class.
+    probs: (B, P, C) rows on the simplex; onehot: (B, P, C) constant. An
+    image with a pixel always has a present class.
     """
     intersection = (probs * onehot).sum(axis=1)
-    union = (probs + onehot - probs * onehot).sum(axis=1)
+    return _jaccard_ratio(intersection, (probs + onehot - probs * onehot).sum(axis=1))
+
+
+def _jaccard_ratio(intersection: Tensor, union: Tensor) -> Tensor:
+    """1 - mean intersection / union over the classes (last axis) with a
+    nonzero union."""
     active = union.data > 0.0
     # an absent class scores 0 / 1 and is left out of the count
     ratio = intersection / (union + ~active)
@@ -280,10 +278,11 @@ def _token_index_map(s: int, h: int, w: int) -> np.ndarray:
     return (rows[:, None] * s + cols[None, :]).reshape(-1)
 
 
-def _head_inputs(features, targets, task: str, n_classes: int | None):
-    """Tokens (N, s*s, d) and, per image, the token index and target value of
-    each valid pixel (row-major). Targets are checked here, once: a non-empty
-    valid mask, seg class ids among the head's classes, finite positive depths."""
+def _valid_pixels(features, targets, task: str, n_classes: int | None):
+    """Tokens (N, T, d), T = s*s, and for every valid pixel (image by image,
+    row-major) the flat index of its token among the N*T and its target value.
+    Targets are checked here, once: a non-empty valid mask, seg class ids among
+    the head's classes, finite positive depths."""
     if len(features) != len(targets) or not features:
         raise DataError("features and targets must be non-empty and parallel")
     shape = features[0].shape
@@ -291,49 +290,55 @@ def _head_inputs(features, targets, task: str, n_classes: int | None):
         raise DataError(f"patch grids must be square and of one (s, s, d) shape, got {shape}")
     s = shape[0]
     tokens = np.stack(features).astype(np.float64).reshape(len(features), s * s, shape[2])
-    pixels = []
-    for target in targets:
-        values = target.values[target.valid_mask]
-        if not values.size:
+    index, values = [], []
+    for i, target in enumerate(targets):
+        valid = target.values[target.valid_mask]
+        if not valid.size:
             raise DataError("empty valid mask")
-        if task == "seg" and (values.min() < 0 or values.max() >= n_classes):
+        if task == "seg" and (valid.min() < 0 or valid.max() >= n_classes):
             raise DataError(f"target class ids must lie in [0, {n_classes}), the head's classes")
-        if task == "depth" and not np.all((values > 0) & (values < np.inf)):
+        if task == "depth" and not np.all((valid > 0) & (valid < np.inf)):
             raise DataError("nonpositive or non-finite target depth inside the valid mask")
         h, w = target.values.shape
-        pixels.append((_token_index_map(s, h, w)[target.valid_mask.reshape(-1)], values))
-    return tokens, pixels
+        index.append(i * s * s + _token_index_map(s, h, w)[target.valid_mask.reshape(-1)])
+        values.append(valid)
+    return tokens, np.concatenate(index), np.concatenate(values)
 
 
-def _pixel_batch(pixels, rows):
-    """(index, values, weight), each (B, P): the valid pixels of images `rows`,
-    padded to the batch's largest count by repeating the image's own pixels,
-    so padded terms stay finite. weight is 1 on pixels, 0 on padding."""
-    counts = np.array([len(pixels[r][0]) for r in rows])
-    size = counts.max()
-    index = np.stack([np.resize(pixels[r][0], size) for r in rows])
-    values = np.stack([np.resize(pixels[r][1], size) for r in rows])
-    return index, values, (np.arange(size) < counts[:, None]).astype(np.float64)
-
-
-def _head_pixels(w: Tensor, b: Tensor, tokens: np.ndarray, index: np.ndarray, binning=None):
-    """The head's output at each pixel, `index` (B, P) naming its token:
-    class probabilities (B, P, C), or, given a depth binning, expected depth
-    (B, P). Softmax and decoding run per token, before the gather to pixels."""
-    out = softmax(Tensor(tokens) @ w.T + b, axis=-1)
-    if binning is not None:
-        out = depth_decode(out, binning)
-    return out[np.arange(len(index))[:, None], index]
-
-
-def _head_loss(task, w: Tensor, b: Tensor, tokens, pixels, rows, binning=None, sign=1.0):
-    """Mean loss of the images `rows` as one graph over the head's w and b."""
-    index, values, weight = _pixel_batch(pixels, rows)
+def _head_inputs(features, targets, task: str, n_classes: int | None):
+    """Tokens (N, T, d) and the checked targets as per-token statistics: seg
+    (n,), n (N, T, C) the valid pixels of each class in each token's cell;
+    depth (S0, m, V), each (N, T): the valid pixel count, the mean of
+    log(target + eps) and the sum of squares about that mean."""
+    tokens, index, values = _valid_pixels(features, targets, task, n_classes)
+    size = tokens.shape[0] * tokens.shape[1]
     if task == "seg":
-        probs = _head_pixels(w, b, tokens[rows], index) * weight[..., None]
-        return _jaccard_graph(probs, np.eye(w.shape[0])[values] * weight[..., None]).mean()
-    depth = _head_pixels(w, b, tokens[rows], index, binning)
-    return _silog_graph(depth, values, weight, SILOG_EPS, SILOG_LAMBDA, sign).mean()
+        counts = np.bincount(index * n_classes + values, minlength=size * n_classes)
+        return tokens, (counts.reshape(*tokens.shape[:2], n_classes),)
+    log_truth = np.log(values + SILOG_EPS)
+    count = np.bincount(index, minlength=size)
+    mean = np.bincount(index, log_truth, minlength=size) / np.maximum(count, 1)
+    spread = np.bincount(index, (log_truth - mean[index]) ** 2, minlength=size)
+    return tokens, tuple(a.reshape(tokens.shape[:2]) for a in (count, mean, spread))
+
+
+def _head_loss(task, w: Tensor, b: Tensor, tokens, stats, rows, binning=None, sign=1.0):
+    """Mean loss of the images `rows` as one graph over the head's w and b,
+    from `_head_inputs`; the per-pixel losses up to float round-off."""
+    probs = softmax(Tensor(tokens[rows]) @ w.T + b, axis=-1)
+    if task == "seg":
+        n = stats[0][rows]
+        intersection = (probs * n).sum(axis=1)
+        # each valid pixel adds p + onehot - p * onehot to its class's union
+        union = (probs * (n.sum(axis=2, keepdims=True) - n)).sum(axis=1) + n.sum(axis=1)
+        return _jaccard_ratio(intersection, union).mean()
+    count, mean, spread = (column[rows] for column in stats)
+    # sum_i d_i^2 = sum_t S0_t (log(a_t + eps) - m_t)^2 + V_t, centered because
+    # the uncentered S0 a^2 - 2 a S1 + S2 cancels badly near a fit
+    offset = (depth_decode(probs, binning) + SILOG_EPS).log() - mean
+    weighted, n = offset * count, count.sum(axis=1)
+    square_sum = (weighted * offset).sum(axis=1) + spread.sum(axis=1)
+    return (square_sum / n + sign * SILOG_LAMBDA * (weighted.sum(axis=1) / n) ** 2).mean()
 
 
 def train_linear_head(
@@ -362,7 +367,7 @@ def train_linear_head(
         binning = binning or DepthBinning()
         n_out = binning.n_bins
     sign = _silog_sign(silog_sign)
-    tokens, pixels = _head_inputs(features, targets, task, n_classes)
+    tokens, stats = _head_inputs(features, targets, task, n_classes)
 
     rng = np.random.default_rng(hyper.seed)
     params = {
@@ -379,10 +384,9 @@ def train_linear_head(
             batch = perm[start : start + hyper.batch_size]
             w = Tensor(params["weight"], requires_grad=True)
             b = Tensor(params["bias"], requires_grad=True)
-            loss = _head_loss(task, w, b, tokens, pixels, batch, binning, sign)
+            loss = _head_loss(task, w, b, tokens, stats, batch, binning, sign)
             loss.backward()
-            grads = {"weight": w.grad, "bias": b.grad}
-            adam_step(params, grads, adam, hyper.lr)
+            adam_step(params, {"weight": w.grad, "bias": b.grad}, adam, hyper.lr)
             epoch_sum += float(loss.data) * len(batch)
             count += len(batch)
         history.append(epoch_sum / count)
@@ -400,12 +404,10 @@ def train_linear_head(
 def eval_seg(head: SegHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
     """mIoU over classes present in target or prediction, plus pixel accuracy."""
     n_classes = head.n_classes
-    tokens, pixels = _head_inputs(features, targets, "seg", n_classes)
-    w, b = Tensor(head.weight), Tensor(head.bias)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for i, (index, truth) in enumerate(pixels):
-        probs = _head_pixels(w, b, tokens[i : i + 1], index[None]).data[0]
-        np.add.at(confusion, (truth, np.argmax(probs, axis=-1)), 1)
+    tokens, index, truth = _valid_pixels(features, targets, "seg", n_classes)
+    logits = tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias
+    pixels = truth * n_classes + np.argmax(softmax(Tensor(logits)).data, axis=-1)[index]
+    confusion = np.bincount(pixels, minlength=n_classes**2).reshape(n_classes, n_classes)
     present = (confusion.sum(axis=1) + confusion.sum(axis=0)) > 0
     tp = np.diag(confusion)
     denom = confusion.sum(axis=1) + confusion.sum(axis=0) - tp
@@ -421,13 +423,10 @@ DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
 
 def eval_depth(head: DepthHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
     """RMSE, AbsRel, log10, and delta-threshold accuracies over valid pixels."""
-    tokens, pixels = _head_inputs(features, targets, "depth", None)
-    w, bias = Tensor(head.weight), Tensor(head.bias)
-    a = np.concatenate([
-        _head_pixels(w, bias, tokens[i : i + 1], index[None], head.binning).data[0]
-        for i, (index, _) in enumerate(pixels)
-    ])
-    b = np.concatenate([truth.astype(np.float64) for _, truth in pixels])
+    tokens, index, b = _valid_pixels(features, targets, "depth", None)
+    probs = softmax(Tensor(tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias))
+    a = depth_decode(probs.data, head.binning)[index]
+    b = b.astype(np.float64)
     ratio = np.maximum(a / b, b / a)
     return {
         "rmse": float(np.sqrt(((a - b) ** 2).mean())),

@@ -195,6 +195,20 @@ class TestComposites:
         x = RNG.normal(size=(3, 4))
         check_grad(lambda t: (softmax(t, axis=-1) ** 2).sum(), x)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_softmax_grad_3d(self, axis):
+        x = RNG.normal(size=(2, 3, 4)) * 2
+        w = RNG.normal(size=(2, 3, 4))
+        check_grad(lambda t: (softmax(t, axis=axis) * Tensor(w)).sum(), x)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_softmax_forward_is_the_composite_bit_for_bit(self, axis):
+        x = RNG.normal(size=(3, 4, 5)) * 4
+        t = Tensor(x)
+        e = (t - Tensor(np.max(x, axis=axis, keepdims=True))).exp()
+        composite = e / e.sum(axis=axis, keepdims=True)
+        np.testing.assert_array_equal(softmax(t, axis=axis).data, composite.data)
+
     def test_layer_norm_moments_and_grad(self):
         x = RNG.normal(size=(3, 8)) * 2 + 1
         out = layer_norm(Tensor(x))
@@ -211,6 +225,43 @@ class TestComposites:
         # GELU(0)=0 and large positive inputs pass through
         out = gelu(Tensor(np.array([0.0, 10.0])))
         np.testing.assert_allclose(out.data, [0.0, 10.0], atol=1e-4)
+
+
+class TestConstantOperands:
+    """A constant operand (requires_grad False) gets no gradient, and the
+    other operand's gradient is the same expression as before."""
+
+    def setup_method(self):
+        self.x = RNG.normal(size=(3, 4)) + 3.0
+        self.c = RNG.normal(size=(4,)) + 3.0
+        self.g = RNG.normal(size=(3, 4))
+
+    @pytest.mark.parametrize("op, want_x, want_c", [
+        (lambda x, c: x + c, lambda x, c, g: g, lambda x, c, g: g.sum(axis=0)),
+        (lambda x, c: x * c, lambda x, c, g: g * c, lambda x, c, g: (g * x).sum(axis=0)),
+        (lambda x, c: x / c, lambda x, c, g: g / c,
+         lambda x, c, g: (-g * x / c**2).sum(axis=0)),
+    ])
+    def test_only_leaves_get_gradients(self, op, want_x, want_c):
+        x, c, g = self.x, self.c, self.g
+        for x_leaf, c_leaf in ((True, False), (False, True), (True, True)):
+            tx, tc = Tensor(x, requires_grad=x_leaf), Tensor(c, requires_grad=c_leaf)
+            out = op(tx, tc)
+            gx, gc = out._backward(g)
+            assert (gx is None) is not x_leaf
+            assert (gc is None) is not c_leaf
+            out.backward(g)
+            if x_leaf:
+                np.testing.assert_array_equal(tx.grad, want_x(x, c, g))
+            if c_leaf:
+                np.testing.assert_array_equal(tc.grad, want_c(x, c, g))
+
+    def test_reflected_ops_skip_the_constant(self):
+        x, g = self.x, self.g
+        for out in (2.0 + Tensor(x, requires_grad=True), 2.0 * Tensor(x, requires_grad=True),
+                    2.0 / Tensor(x, requires_grad=True)):
+            grads = out._backward(g)
+            assert sum(grad is None for grad in grads) == 1
 
 
 class TestApi:

@@ -657,6 +657,18 @@ def test_probe_settings_checked_before_the_store_loads(
     assert err.strip().splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("factors", [1, 2])
+def test_synth_refuses_unrealizable_factor_counts(tmp_path, capsys, monkeypatch, factors):
+    def fail(*args, **kwargs):
+        raise AssertionError("world generated before --factors was checked")
+
+    monkeypatch.setattr(cli, "generate_world", fail)
+    code, err = run_captured(capsys, "synth", "--factors", factors, "--out", tmp_path / "o")
+    assert code == 1
+    assert err.strip().splitlines() == [f"error: --factors must be >= 3, got {factors}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_fit_that_does_not_converge_fails_clean(tiny_world, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProbeConfig", partial(cli.ProbeConfig, max_iter=1))
     code, err = run_captured(

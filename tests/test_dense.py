@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palign.autodiff import Tensor, softmax
 from palign.dense import (
@@ -376,6 +378,128 @@ class TestTrainHead:
         h2, hist2 = train_linear_head("seg", feats, targets, HeadHyper(epochs=3, seed=5), n_classes=3)
         np.testing.assert_array_equal(h1.weight, h2.weight)
         assert hist1 == hist2
+
+
+def token_loss_world(rng, task, s, shapes, empty_cells, near_fit, d=3, n_out=5):
+    """Head parameters, a depth binning, features and targets for the
+    per-token loss oracle. Masks are random; with `empty_cells` a random set
+    of tokens loses every pixel of its cell, and every image keeps at least one
+    valid pixel. Each seg image draws its labels from a random subset of the
+    classes, so some classes are absent. With `near_fit`, each depth target is
+    the head's own token depth times exp(0.002 z), z standard normal."""
+    weight, bias = rng.normal(size=(n_out, d)), rng.normal(size=n_out)
+    binning = DepthBinning(d_min=0.5, d_max=8.0, n_bins=n_out)
+    features, targets = [], []
+    for h, w in shapes:
+        grid = rng.normal(size=(s, s, d))
+        token = _token_index_map(s, h, w).reshape(h, w)
+        mask = rng.random((h, w)) > 0.3
+        if empty_cells:
+            emptied = rng.choice(s * s, size=rng.integers(1, s * s + 1), replace=False)
+            mask &= ~np.isin(token, emptied)
+        mask.flat[rng.integers(h * w)] = True
+        if task == "seg":
+            present = rng.choice(n_out, size=rng.integers(1, n_out + 1), replace=False)
+            values = rng.choice(present, size=(h, w))
+        elif near_fit:
+            logits = grid.reshape(-1, d) @ weight.T + bias
+            probs = np.exp(logits - logits.max(-1, keepdims=True))
+            token_depth = (probs / probs.sum(-1, keepdims=True)) @ binning.centers
+            values = token_depth[token] * np.exp(0.002 * rng.normal(size=(h, w)))
+        else:
+            values = rng.uniform(0.6, 7.5, (h, w))
+        features.append(grid)
+        targets.append(DenseTarget(values, mask))
+    return weight, bias, binning, features, targets
+
+
+def per_pixel_oracle(task, weight, bias, binning, features, targets, rows, sign):
+    """Mean over images `rows` of the per-pixel loss graphs (`_jaccard_graph`,
+    `_silog_graph`) at B = 1, each over its image's valid pixels, and the
+    gradients (gW, gb)."""
+    leaves = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+    total = 0.0
+    for i in rows:
+        grid, target = features[i], targets[i]
+        s, d = grid.shape[0], grid.shape[2]
+        h, w = target.values.shape
+        valid = target.valid_mask.reshape(-1)
+        index = _token_index_map(s, h, w)[valid]
+        truth = target.values.reshape(-1)[valid]
+        probs = softmax(Tensor(grid.reshape(s * s, d)) @ leaves[0].T + leaves[1], axis=-1)
+        if task == "seg":
+            onehot = np.eye(len(bias))[truth][None]
+            total = total + _jaccard_graph(probs[index].reshape(1, *onehot.shape[1:]), onehot)[0]
+        else:
+            depth = depth_decode(probs, binning)[index].reshape(1, -1)
+            total = total + _silog_graph(depth, truth[None], np.ones((1, len(truth))),
+                                         1e-3, 0.15, sign)[0]
+    loss = total / float(len(rows))
+    loss.backward()
+    return float(loss.data), [t.grad for t in leaves]
+
+
+class TestTokenLossOracle:
+    """`_head_loss` over per-token statistics against per-pixel graphs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        task=st.sampled_from(["seg", "depth"]),
+        s=st.integers(1, 4),
+        shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        empty_cells=st.booleans(),
+        near_fit=st.booleans(),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_loss_and_grads_match_per_pixel_graphs(
+        self, task, s, shapes, seed, empty_cells, near_fit, sign
+    ):
+        # near a fit the log offsets are ~0.002 while log targets are ~1: the
+        # uncentered n*a^2 - 2*a*S1 + S2 misses the loss there by ~1e-11 or more
+        rng = np.random.default_rng(seed)
+        weight, bias, binning, features, targets = token_loss_world(
+            rng, task, s, shapes, empty_cells, near_fit
+        )
+        rows = rng.permutation(len(features))
+        leaves = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+        tokens, stats = _head_inputs(features, targets, task, len(bias))
+        loss = _head_loss(task, *leaves, tokens, stats, rows, binning, sign)
+        loss.backward()
+        want, want_grads = per_pixel_oracle(
+            task, weight, bias, binning, features, targets, rows, sign
+        )
+        assert float(loss.data) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # relative to the gradient's largest entry, as single entries can cancel
+        # to near zero; near a fit the whole gradient is a small sum of terms of
+        # both signs, whose rounding (up to ~4e-12 of it, in either form) is
+        # relative to the terms
+        rtol = 1e-10 if near_fit and task == "depth" else 1e-12
+        for leaf, grad in zip(leaves, want_grads):
+            assert np.abs(leaf.grad - grad).max() <= rtol * np.abs(grad).max()
+
+    @pytest.mark.parametrize("task", ["seg", "depth"])
+    def test_grads_match_finite_differences(self, task):
+        rng = np.random.default_rng(31)
+        weight, bias, binning, features, targets = token_loss_world(
+            rng, task, 3, [(5, 7), (2, 2), (9, 4)], True, False
+        )
+        tokens, stats = _head_inputs(features, targets, task, len(bias))
+        rows = [2, 0, 1]
+        leaves = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+        _head_loss(task, *leaves, tokens, stats, rows, binning).backward()
+        params = [weight.copy(), bias.copy()]
+        for leaf, param in zip(leaves, params):
+            numeric = np.zeros_like(param)
+            for i in np.ndindex(param.shape):
+                saved, side = param[i], []
+                for step in (1e-6, -1e-6):
+                    param[i] = saved + step
+                    side.append(_head_loss(task, *map(Tensor, params), tokens, stats, rows,
+                                           binning).item())
+                param[i] = saved
+                numeric[i] = (side[0] - side[1]) / 2e-6
+            np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestEvalSeg:
