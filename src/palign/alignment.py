@@ -7,9 +7,12 @@ cosine distance than the other one:
     loss = max(0, m - (d0 - d1) * ybar),   ybar = 2y - 1
 
 Only low-rank adapter matrices train; everything else stays frozen. Each
-step is one autodiff graph over its batch, scored by the same function as
-the validation pass. Losses and gradients accumulate in float64 in a fixed
-order, so reruns are bit-reproducible and finite differences meaningful.
+step is one autodiff graph over its batch: the adapters' graph up to the
+batch's feature rows, then one scoring op, `_score_triplets`, whose forward
+is numpy and whose backward is the closed-form hinge gradient. The validation
+pass runs the same function on constant features, so only its forward runs.
+Losses and gradients accumulate in float64 in a fixed order, so reruns are
+bit-reproducible and finite differences meaningful.
 
 `AlignmentConfig` holds the optimization settings only. The adapters' rank,
 alpha and dropout are the backbone's: training draws LoRA dropout masks from
@@ -127,20 +130,44 @@ def _distinct_ids(triplets) -> list[str]:
     return list(dict.fromkeys(id for e in triplets for id in (e.ref, e.x0, e.x1)))
 
 
+def _cosine_distance_grads(u, v, g):
+    """g times the row-wise gradients of 1 - cos(u, v) with respect to u and
+    to v: g / (|u| |v|) * (u.v / |u|^2 * u - v), and the same with u, v swapped."""
+    uu, vv = (u * u).sum(axis=-1, keepdims=True), (v * v).sum(axis=-1, keepdims=True)
+    uv = (u * v).sum(axis=-1, keepdims=True)
+    e = g[:, None] / np.sqrt(uu * vv)
+    return e * (uv / uu * u - v), e * (uv / vv * v - u)
+
+
 def _score_triplets(feats, ids: list[str], triplets, margin: float):
     """Hinge loss (a Tensor) and 2AFC credit (an array) of each triplet, from
     the Tensor `feats` with one row per id of `ids`. The hinge is
     max(0, m - (d0 - d1) * ybar) on cosine distances; the credit is 1 when the
     closer image matches the judgment, 0 when not, and 0.5 on an exact tie.
+
+    One autodiff op: the forward is numpy through `cosine_distance`, and the
+    backward (attached only when `feats` needs a gradient) is the closed-form
+    gradient through the active hinges, scattered onto the rows of `feats` by
+    one incidence-matrix product.
     """
     row = {id: i for i, id in enumerate(ids)}
-    ref, x0, x1 = ([row[getattr(e, f)] for e in triplets] for f in ("ref", "x0", "x1"))
+    # u, v: the (ref, x0) pairs' rows, then the (ref, x1) pairs' rows
+    at = np.array([row[getattr(e, f)] for f in ("ref", "ref", "x0", "x1") for e in triplets])
     ybar = np.array([judgment_sign(e.y) for e in triplets], dtype=np.float64)
-    d0 = cosine_distance(feats[ref], feats[x0])
-    d1 = cosine_distance(feats[ref], feats[x1])
-    hinge = (margin - (d0 - d1) * ybar).relu()
-    credit = np.where(d0.data == d1.data, 0.5, (d1.data < d0.data) == (ybar > 0))
-    return hinge, credit
+    u, v = feats.data[at].reshape(2, 2 * len(triplets), -1)
+    d0, d1 = np.split(cosine_distance(u, v), 2)
+    pre = margin - (d0 - d1) * ybar
+    credit = np.where(d0 == d1, 0.5, (d1 < d0) == (ybar > 0))
+
+    def backward(grad):
+        # dhinge/dd1 = -dhinge/dd0 = ybar where the hinge is active, else 0
+        g = np.where(pre > 0.0, grad * ybar, 0.0)
+        gu, gv = _cosine_distance_grads(u, v, np.concatenate([-g, g]))
+        incidence = np.zeros((len(ids), len(at)))
+        incidence[at, np.arange(len(at))] = 1.0
+        return (incidence @ np.concatenate([gu, gv]),)
+
+    return Tensor._from_op(np.maximum(pre, 0.0), (feats,), backward), credit
 
 
 def batch_loss_and_grads(
@@ -182,7 +209,7 @@ def _score_manifest(backbone, manifest: TripletManifest, mode: FeatureMode, marg
         for id in ids:
             if id not in feats:
                 feats[id] = backbone.feature_np(id, mode)
-        rows = Tensor(np.stack([feats[id] for id in ids]))
+        rows = Tensor(np.array([feats[id] for id in ids]))
         hinge, credit = _score_triplets(rows, ids, chunk, margin)
         hinges.append(hinge.data)
         credits.append(credit)

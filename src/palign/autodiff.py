@@ -3,7 +3,9 @@
 Just enough machinery to differentiate the alignment objective through a
 small transformer encoder and the dense-probe heads: elementwise arithmetic,
 (batched) matmul, reductions, indexing, concat, and a few nonlinearities.
-All tensors are float64 so finite-difference checks are meaningful.
+`softmax`, `layer_norm` and `gelu` are single ops with closed-form backward
+rules and numpy forwards equal to their elementwise compositions. All
+tensors are float64 so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -336,17 +338,35 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance (no affine)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt()
+    """Normalize the last axis to zero mean and unit variance (no affine), as
+    one op: y = (x - mean) / sqrt(var + eps), with the closed-form backward
+    (g - mean(g) - y * mean(g * y)) / sqrt(var + eps)."""
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    std = ((centered * centered).sum(axis=-1, keepdims=True) / n + eps) ** 0.5
+    out_data = centered / std
+
+    def backward(grad):
+        mean_g = grad.sum(axis=-1, keepdims=True) / n
+        mean_gy = (grad * out_data).sum(axis=-1, keepdims=True) / n
+        return ((grad - mean_g - out_data * mean_gy) / std,)
+
+    return Tensor._from_op(out_data, (x,), backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+_GELU_K = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU, differentiable through the graph."""
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
+    """tanh-approximation GELU as one op: 0.5 x (1 + tanh(c (x + k x^3))),
+    with the closed-form backward."""
+    xd = x.data
+    t = np.tanh(_GELU_C * (xd + _GELU_K * xd * xd * xd))
+    out_data = 0.5 * xd * (1.0 + t)
+
+    def backward(grad):
+        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * _GELU_K * xd * xd)  # d tanh(inner) / dx
+        return (grad * (0.5 * (1.0 + t) + 0.5 * xd * dt),)
+
+    return Tensor._from_op(out_data, (x,), backward)

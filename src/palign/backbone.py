@@ -14,9 +14,11 @@ Two interchangeable backbones feed the alignment trainer:
 Every backbone exposes a plain-numpy featurization of one id (used by
 evaluations and finite-difference oracles) and a graph featurization of a
 list of ids as one (n, k*d) tensor over autodiff leaves (used by training,
-once per step). The store backbone's two paths share `_rows` and
-`_lora_apply`; the toy encoder's numpy path is its graph path run on
-constant leaves.
+once per step). The store backbone's two paths share `_lora_apply` and its
+stored rows: CLS read as is, and patch grids pooled once per backbone, on
+first use, into an (n, d) float64 mean that does not depend on the adapters.
+A backbone therefore treats its store's arrays as read-only. The toy
+encoder's numpy path is its graph path run on constant leaves.
 
 LoRA rank, alpha and input dropout belong to each backbone's adapters
 (`LoraAdapter`), set when the backbone is built; training reads them there.
@@ -192,6 +194,9 @@ class StoreBackbone(_Trainable):
     vector and every patch token, mirroring how adapter-tuning a real
     encoder moves all tokens through the same adapted weights. W is applied
     in low-rank form by `_lora_apply` and never formed.
+
+    The store's arrays are read, never written, and the patch pool is taken
+    from them once: change a store only before building its backbone.
     """
 
     def __init__(
@@ -203,6 +208,7 @@ class StoreBackbone(_Trainable):
         seed: int = 0,
     ):
         self.store = store
+        self._pool: np.ndarray | None = None
         rng = np.random.default_rng(seed)
         self.adapter = LoraAdapter.create(
             d_in=store.dim, d_out=store.dim, rank=rank, alpha=alpha, rng=rng, dropout_p=dropout_p
@@ -212,15 +218,21 @@ class StoreBackbone(_Trainable):
     def trainable(self) -> dict[str, np.ndarray]:
         return {"proj.a": self.adapter.a, "proj.b": self.adapter.b}
 
+    def _pooled(self) -> np.ndarray:
+        """(n, d) float64 patch-grid means of every record, computed on first use."""
+        if self._pool is None:
+            if self.store.patch is None:
+                raise DataError("feature mode needs patch tokens but the record has none")
+            self._pool = self.store.patch.mean(axis=(1, 2), dtype=np.float64)
+        return self._pool
+
     def _rows(self, ids: list[str], mode: FeatureMode) -> np.ndarray:
         """(len(ids), k, d) float64 rows: CLS, and in patch mode the pooled patch."""
-        store, rows = self.store, [self.store.row(id) for id in ids]
-        parts = [store.cls[rows].astype(np.float64)]
-        if mode is FeatureMode.CLS_PLUS_POOLED_PATCH:
-            if store.patch is None:
-                raise DataError("feature mode needs patch tokens but the record has none")
-            parts.append(store.patch[rows].astype(np.float64).mean(axis=(1, 2)))
-        return np.stack(parts, axis=1)
+        rows = [self.store.row(id) for id in ids]
+        cls = self.store.cls[rows].astype(np.float64)
+        if mode is FeatureMode.CLS_ONLY:
+            return cls[:, None]
+        return np.stack([cls, self._pooled()[rows]], axis=1)
 
     def adapt(self, x: np.ndarray) -> np.ndarray:
         """The adapted projection applied along x's last axis; the exact
@@ -228,7 +240,13 @@ class StoreBackbone(_Trainable):
         return _lora_apply(x, self.adapter.a, self.adapter.b, self.adapter.scale)
 
     def feature_np(self, id: str, mode: FeatureMode) -> np.ndarray:
-        return self.adapt(self._rows([id], mode)).reshape(-1)
+        """The (k * d) features of one id: `feature_graph` of [id] on constant
+        adapters, from its (k, d) rows read directly."""
+        i = self.store.row(id)
+        x = self.store.cls[i : i + 1].astype(np.float64)
+        if mode is FeatureMode.CLS_PLUS_POOLED_PATCH:
+            x = np.concatenate((x, self._pooled()[i : i + 1]))
+        return self.adapt(x).reshape(-1)
 
     def feature_graph(
         self, ids: list[str], mode: FeatureMode, leaves: dict[str, Tensor], dropout_rng=None

@@ -192,6 +192,7 @@ class BoundedReader:
 
 
 _U32 = struct.Struct("<I")
+_STORE_READ_BUFFER = 1 << 16  # bytes; the small per-record reads come from memory
 
 
 def load_store(path) -> EmbeddingStore:
@@ -204,7 +205,7 @@ def load_store(path) -> EmbeddingStore:
     floats are read straight into their rows of the columns: the file is never
     held in memory a second time.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=_STORE_READ_BUFFER) as f:
         reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
         dim, side, count = reader.unpack("<IIQ", "header")
         smallest = 4 + 4 * dim * (1 + side * side)  # a record with an empty id

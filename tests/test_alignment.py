@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palign.alignment import (
     _SCORE_CHUNK,
+    _distinct_ids,
+    _score_triplets,
     AdamState,
     AlignmentConfig,
     adam_step,
@@ -236,6 +238,145 @@ class TestGradientOracle:
         fd_check_gradients(
             bb, batch, AlignmentConfig(margin=0.3, feature_mode=FeatureMode.CLS_PLUS_POOLED_PATCH)
         )
+
+
+def composite_scores(feats, ids, triplets, margin):
+    """Oracle for _score_triplets: one small graph per triplet, cosine_distance
+    on Tensor rows of `feats` and then relu; the credit from the same distances."""
+    row = {id: i for i, id in enumerate(ids)}
+    hinges, credits = [], []
+    for e in triplets:
+        u, a, b = (feats[row[id]] for id in (e.ref, e.x0, e.x1))
+        d0, d1 = cosine_distance(u, a), cosine_distance(u, b)
+        hinges.append((margin - (d0 - d1) * float(judgment_sign(e.y))).relu())
+        credits.append(0.5 if d0.data == d1.data else float((d1.data < d0.data) == (e.y == 1)))
+    return hinges, np.array(credits)
+
+
+def score_with(score, bb, triplets, mode, margin):
+    """Per-triplet hinges, mean loss, credit and adapter gradients of the
+    scoring function `score` over a store backbone's features of the triplets."""
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in bb.trainable.items()}
+    ids = _distinct_ids(triplets)
+    hinge, credit = score(bb.feature_graph(ids, mode, leaves), ids, triplets, margin)
+    if isinstance(hinge, Tensor):
+        per_triplet, loss = hinge.data, hinge.mean()
+    else:
+        per_triplet, loss = np.array([h.data for h in hinge]), sum(hinge) / float(len(hinge))
+    loss.backward()
+    return per_triplet, float(loss.data), credit, {k: leaf.grad for k, leaf in leaves.items()}
+
+
+def assert_scores_match_composite(bb, triplets, mode, margin):
+    got = score_with(_score_triplets, bb, triplets, mode, margin)
+    want = score_with(composite_scores, bb, triplets, mode, margin)
+    np.testing.assert_array_equal(got[0], want[0])  # hinges, bit for bit
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
+    np.testing.assert_array_equal(got[2], want[2])  # credit
+    for name, g in want[3].items():
+        # atol: a gradient that cancels to zero (a tie) leaves ~1e-19 of round-off
+        np.testing.assert_allclose(got[3][name], g, rtol=1e-12, atol=1e-14)
+    return got
+
+
+@st.composite
+def scoring_cases(draw):
+    """A small store backbone with nonzero adapters and a batch over it: ids
+    repeat across triplets, and with `tie` record v1 is a copy of v0 and one
+    triplet compares the two, an exact distance tie."""
+    n, d = draw(st.integers(3, 7)), draw(st.sampled_from([2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cls, patch = rng.normal(size=(n, d)), rng.normal(size=(n, 2, 2, d))
+    tie = draw(st.booleans())
+    if tie:
+        cls[1], patch[1] = cls[0], patch[0]
+    bb = StoreBackbone(EmbeddingStore([f"v{i}" for i in range(n)], cls, patch), rank=2, alpha=0.7)
+    bb.adapter.b[...] = rng.normal(scale=0.5, size=bb.adapter.b.shape)
+    picks = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    batch = draw(st.lists(st.tuples(picks, st.integers(0, 1)), min_size=1, max_size=8))
+    if tie:
+        batch.append(([2, 0, 1], draw(st.integers(0, 1))))
+    triplets = [TripletEntry(*(f"v{i}" for i in ids), y) for ids, y in batch]
+    return bb, triplets, draw(st.sampled_from(list(FeatureMode))), draw(st.floats(0.01, 2.0)), tie
+
+
+class TestScoringOp:
+    @settings(deadline=None)
+    @given(scoring_cases())
+    def test_matches_composite_per_triplet_graphs(self, case):
+        bb, triplets, mode, margin, tie = case
+        _, _, credit, _ = assert_scores_match_composite(bb, triplets, mode, margin)
+        if tie:
+            assert credit[-1] == 0.5
+
+    @pytest.mark.parametrize("mode", list(FeatureMode), ids=lambda m: m.value)
+    def test_matches_composite_at_paper_width(self, mode):
+        rng = np.random.default_rng(40)
+        n, d = 12, 768
+        store = EmbeddingStore([f"v{i}" for i in range(n)], rng.normal(size=(n, d)),
+                               rng.normal(size=(n, 2, 2, d)))
+        bb = StoreBackbone(store, rank=4, seed=41)
+        bb.adapter.b[...] = rng.normal(scale=0.2, size=bb.adapter.b.shape)
+        triplets = [
+            TripletEntry(*(f"v{i}" for i in rng.choice(n, 3, replace=False)), int(rng.integers(2)))
+            for _ in range(16)
+        ]
+        _, loss, _, grads = assert_scores_match_composite(bb, triplets, mode, margin=0.5)
+        assert loss > 0.0 and all(np.abs(g).max() > 0.0 for g in grads.values())
+
+    def test_all_inactive_batch_has_exactly_zero_gradient(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(5, 4))
+        ids = [f"v{i}" for i in range(5)]
+        triplets, gaps = [], []
+        for r, a, b in ((0, 1, 2), (1, 2, 3), (0, 3, 1), (4, 0, 2)):
+            d0, d1 = cosine_distance(x[r], x[a]), cosine_distance(x[r], x[b])
+            triplets.append(TripletEntry(ids[r], ids[a], ids[b], int(d0 > d1)))
+            gaps.append(abs(d0 - d1))
+        feats = Tensor(x, requires_grad=True)
+        hinge, _ = _score_triplets(feats, ids, triplets, 0.5 * min(gaps))
+        hinge.sum().backward()
+        np.testing.assert_array_equal(hinge.data, 0.0)
+        np.testing.assert_array_equal(feats.grad, 0.0)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(6, 5))
+        ids = [f"v{i}" for i in range(6)]
+        triplets = [
+            TripletEntry(*(ids[i] for i in t), y)
+            for t, y in (((0, 1, 2), 1), ((1, 0, 3), 0), ((2, 4, 1), 1), ((5, 3, 0), 0))
+        ]
+        w = rng.uniform(0.5, 1.5, size=len(triplets))
+
+        def loss(arr):
+            hinge, _ = _score_triplets(arr, ids, triplets, 1.0)
+            return (hinge * Tensor(w)).sum()
+
+        feats = Tensor(x, requires_grad=True)
+        loss(feats).backward()
+        assert np.abs(feats.grad).max() > 0.0
+        h, numeric = 1e-6, np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            up, down = x.copy(), x.copy()
+            up[i] += h
+            down[i] -= h
+            numeric[i] = (loss(Tensor(up)).item() - loss(Tensor(down)).item()) / (2 * h)
+        np.testing.assert_allclose(feats.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_constant_features_attach_no_backward(self):
+        x = np.random.default_rng(44).normal(size=(3, 4))
+        triplets = [TripletEntry("a", "b", "c", 1)]
+        hinge, _ = _score_triplets(Tensor(x), ["a", "b", "c"], triplets, 0.5)
+        assert not hinge.requires_grad and hinge._backward is None
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_zero_norm_refused(self, requires_grad):
+        x = np.random.default_rng(45).normal(size=(3, 4))
+        x[2] = 0.0
+        feats = Tensor(x, requires_grad=requires_grad)
+        with pytest.raises(DataError, match="zero-norm"):
+            _score_triplets(feats, ["a", "b", "c"], [TripletEntry("a", "b", "c", 1)], 0.5)
 
 
 class TestAdam:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from palign.autodiff import Tensor, concat, gelu, layer_norm, softmax
+from palign.autodiff import _GELU_C, Tensor, concat, gelu, layer_norm, softmax
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -36,6 +36,20 @@ def check_grad(build, x: np.ndarray, rtol: float = 1e-6, atol: float = 1e-8):
 
 
 RNG = np.random.default_rng(7)
+
+
+def composite_layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
+    """layer_norm built from elementary ops: the oracle for the single op."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt()
+
+
+def composite_gelu(x: Tensor) -> Tensor:
+    """gelu built from elementary ops: the oracle for the single op."""
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
+    return 0.5 * x * (1.0 + inner.tanh())
 
 
 class TestElementwise:
@@ -220,6 +234,37 @@ class TestComposites:
     def test_gelu_grad(self):
         x = RNG.normal(size=(7,)) * 2
         check_grad(lambda t: gelu(t).sum(), x)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 3, 5)])
+    def test_layer_norm_grad_nd(self, shape):
+        x = RNG.normal(size=shape) * 2 + 0.5
+        w = RNG.normal(size=shape)
+        check_grad(lambda t: (layer_norm(t) * Tensor(w)).sum(), x, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 3, 5)])
+    def test_gelu_grad_nd(self, shape):
+        x = RNG.normal(size=shape) * 2
+        w = RNG.normal(size=shape)
+        check_grad(lambda t: (gelu(t) * Tensor(w)).sum(), x)
+
+    @pytest.mark.parametrize("shape", [(4, 8), (2, 5, 16)])
+    @pytest.mark.parametrize(
+        "op, composite",
+        [(layer_norm, composite_layer_norm), (gelu, composite_gelu)],
+        ids=["layer_norm", "gelu"],
+    )
+    def test_single_op_is_the_composite(self, op, composite, shape):
+        # forward bit for bit; backward equal up to round-off
+        x = RNG.normal(size=shape) * 3 + 0.2
+        w = RNG.normal(size=shape)
+        grads = []
+        for fn in (op, composite):
+            t = Tensor(x, requires_grad=True)
+            out = fn(t)
+            (out * Tensor(w)).sum().backward()
+            grads.append((out.data, t.grad))
+        np.testing.assert_array_equal(grads[0][0], grads[1][0])
+        np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=1e-10, atol=1e-12)
 
     def test_gelu_values(self):
         # GELU(0)=0 and large positive inputs pass through

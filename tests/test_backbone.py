@@ -437,6 +437,28 @@ class TestStoreBackbone:
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 7])
+    def test_pool_is_per_id_pooling_bit_for_bit(self, s):
+        store = make_store(d=5, s=s, n=9, seed=30 + s)
+        bb = StoreBackbone(store, seed=s)
+        pool = bb._pooled()
+        for i in range(len(store)):
+            # one record's grid upcast, then averaged: the per-id form
+            per_id = store.patch[[i]].astype(np.float64).mean(axis=(1, 2))[0]
+            np.testing.assert_array_equal(pool[i], per_id)
+        assert bb._pooled() is pool  # pooled once per backbone
+
+    @pytest.mark.parametrize("d", [6, 64])
+    def test_feature_np_is_feature_graph_of_one_id(self, d):
+        store = make_store(d=d, s=3, n=5, seed=36)
+        bb = StoreBackbone(store, rank=3, alpha=0.7, seed=37)
+        bb.adapter.b[...] = np.random.default_rng(38).normal(size=bb.adapter.b.shape)
+        leaves = {k: Tensor(v) for k, v in bb.trainable.items()}
+        for mode in FeatureMode:
+            for id in store.ids:
+                graph = bb.feature_graph([id], mode, leaves).data[0]
+                np.testing.assert_array_equal(bb.feature_np(id, mode), graph)
+
     def test_patch_mode_without_patches(self):
         store = make_store(d=4, s=0)
         bb = StoreBackbone(store)
