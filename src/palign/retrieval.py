@@ -61,6 +61,19 @@ def query_topk(
     index: CosineIndex, q: np.ndarray, k: int, exclude: set[str] | None = None
 ) -> list[tuple[str, float]]:
     """Exact top-k by cosine similarity; ties go to earlier insertion order."""
+    rows = None
+    if exclude:
+        keep = np.fromiter((id not in exclude for id in index.ids), dtype=bool, count=len(index))
+        rows = np.nonzero(keep)[0]
+    return _topk(index, q, k, rows)
+
+
+def _topk(
+    index: CosineIndex, q: np.ndarray, k: int, rows: np.ndarray | None = None,
+    own: int | None = None,
+) -> list[tuple[str, float]]:
+    """`query_topk` over the gallery rows `rows` (ascending; every row when
+    None), leaving out row `own`."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     q = np.asarray(q, dtype=np.float64)
@@ -68,13 +81,14 @@ def query_topk(
     if qn == 0.0:
         raise DataError("zero-norm query vector")
     sims = index.matrix @ (q / qn)
-    if exclude:
-        keep = np.fromiter((id not in exclude for id in index.ids), dtype=bool, count=len(index))
-        candidates = np.nonzero(keep)[0]
+    # stable sort on negated similarity preserves insertion order among ties;
+    # dropping a row afterwards leaves the others' order as it is
+    if rows is None:
+        order = np.argsort(-sims, kind="stable")
     else:
-        candidates = np.arange(len(index))
-    # stable sort on negated similarity preserves insertion order among ties
-    order = candidates[np.argsort(-sims[candidates], kind="stable")]
+        order = rows[np.argsort(-sims[rows], kind="stable")]
+    if own is not None:
+        order = order[order != own]
     return [(index.ids[i], float(sims[i])) for i in order[:k]]
 
 
@@ -114,11 +128,12 @@ def recall_at_k(
         raise DataError("queries must be non-empty")
     hits = {k: 0 for k in ks}
     k_max = max(ks)
+    row = {id: i for i, id in enumerate(index.ids)}
     for qid, vec in queries.items():
         truth = ground_truth.get(qid)
         if not truth:
             raise DataError(f"query {qid!r} has an empty ground-truth set")
-        top = query_topk(index, vec, k_max, exclude={qid})
+        top = _topk(index, vec, k_max, own=row.get(qid))
         top_ids = [id for id, _ in top]
         for k in ks:
             if any(t in top_ids[:k] for t in truth):
@@ -265,14 +280,25 @@ def select_rag_examples(
     index: CosineIndex, query_id: str, query_vec: np.ndarray, labels: dict[str, str], k: int = 3
 ) -> PromptBundle:
     """Pick the query's k nearest labeled gallery items, excluding itself."""
-    labeled = set(labels)
-    pool = [id for id in index.ids if id in labeled and id != query_id]
-    if len(pool) < k:
-        raise DataError(f"need at least {k} labeled gallery items, have {len(pool)}")
-    exclude = {id for id in index.ids if id not in labeled} | {query_id}
-    top = query_topk(index, query_vec, k, exclude=exclude)
-    examples = [{"id": id, "label": labels[id], "score": score} for id, score in top]
-    return PromptBundle(query=query_id, examples=examples)
+    return _rag_selector(index, labels, k)(query_id, query_vec)
+
+
+def _rag_selector(index: CosineIndex, labels: dict[str, str], k: int):
+    """`select_rag_examples` as a function of the query alone, with the
+    gallery's labeled rows found once."""
+    labeled = {id: i for i, id in enumerate(index.ids) if id in labels}
+    rows = np.fromiter(labeled.values(), dtype=np.intp, count=len(labeled))
+
+    def select(query_id: str, query_vec: np.ndarray) -> PromptBundle:
+        own = labeled.get(query_id)
+        pool = len(rows) - (own is not None)
+        if pool < k:
+            raise DataError(f"need at least {k} labeled gallery items, have {pool}")
+        top = _topk(index, query_vec, k, rows, own)
+        examples = [{"id": id, "label": labels[id], "score": score} for id, score in top]
+        return PromptBundle(query=query_id, examples=examples)
+
+    return select
 
 
 def majority_label_oracle(bundle: PromptBundle) -> str:
@@ -300,10 +326,11 @@ def evaluate_rag(
     bundles."""
     if not queries:
         raise DataError("queries must be non-empty")
+    select = _rag_selector(index, gallery_labels, k)
     bundles = []
     correct = 0
     for qid, vec in queries.items():
-        bundle = select_rag_examples(index, qid, vec, gallery_labels, k)
+        bundle = select(qid, vec)
         bundles.append(bundle)
         if majority_label_oracle(bundle) == query_labels[qid]:
             correct += 1
@@ -321,10 +348,10 @@ class ProbeConfig:
 
     Every fit minimizes mean NLL + lambda/2 * ||W||^2 with lambda = 1/(C n)
     and the bias unpenalized, by Newton-CG until the gradient norm is below
-    `grad_tol`. Within each fold the fits walk `c_grid` upward, each
-    warm-started from the previous C's solution. `max_iter` caps the Newton
-    steps of one fit; a fit that reaches the cap raises DataError rather than
-    return a truncated iterate.
+    `grad_tol`. The fits of every cross-validation fold walk `c_grid` upward
+    together, each warm-started from its fold's solution at the previous C.
+    `max_iter` caps the Newton steps of one fit; a fit that reaches the cap
+    raises DataError rather than return a truncated iterate.
     """
 
     c_grid: tuple = (1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -334,10 +361,18 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.c_grid or any(c <= 0 for c in self.c_grid):
+        if not self.c_grid or not all(c > 0 for c in self.c_grid):
             raise DataError("c_grid must be non-empty and positive")
+        if not np.all(np.isfinite(self.c_grid)):
+            raise DataError(f"c_grid values must be finite, got {self.c_grid}")
         if self.folds < 2:
             raise DataError("folds must be >= 2")
+        if self.max_iter < 0:
+            raise DataError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not self.grad_tol > 0:
+            raise DataError(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not np.isfinite(self.grad_tol):
+            raise DataError(f"grad_tol must be finite, got {self.grad_tol}")
 
 
 @dataclass
@@ -359,88 +394,131 @@ CG_FORCING = 0.1
 
 
 def _fit_logistic(
-    x: np.ndarray, y: np.ndarray, n_classes: int, c: float, cfg: ProbeConfig, init=None
+    x: np.ndarray, y: np.ndarray, n_classes: int, c: float, cfg: ProbeConfig, init=None,
+    held=None,
 ):
     """Newton-CG on the L2-regularized multinomial logistic objective (bias
     unpenalized), from `init` = (W, b) or from zero, to a gradient norm below
     `cfg.grad_tol`.
 
+    With `held`, an (F, n) boolean array, it solves F fits at once over the
+    rows of `x`: fit f leaves out the rows `held[f]` marks, and its mean and
+    lambda = 1/(C n_f) count only its own n_f rows. W and b, in `init` and in
+    the result, are then (K, F, d) and (K, F); without `held` there is one fit
+    over every row and they are (K, d) and (K,).
+
     Each Newton direction solves H s = -g by conjugate gradients on
     Hessian-vector products, with no dense Hessian, then a backtracking line
-    search takes the step. H is singular along "add one constant to every
-    bias"; CG started from the gradient stays in H's range, so it needs no
-    special handling. Raises DataError after `cfg.max_iter` Newton steps, or
-    when the line search finds no decrease.
+    search takes the step. Every fit has its own CG stop, step length and
+    convergence test; a fit that has converged stays as it is while the others
+    go on. H is singular along "add one constant to every bias"; CG started
+    from the gradient stays in H's range, so it needs no special handling.
+    Raises DataError after `cfg.max_iter` Newton steps, or when a line search
+    finds no decrease, naming the largest gradient norm among the fits that
+    failed.
     """
     n, d = x.shape
+    single = held is None
+    if single:
+        held = np.zeros((1, n), dtype=bool)
+    n_fits = len(held)
+    # scores are (n, K, F) and theta (K, F, d+1), so both products of a
+    # Hessian-vector product are single matrix products on xa
+    shape = (n_classes, n_fits, d + 1)
     xa = np.hstack([x, np.ones((n, 1))])  # the bias is the last column of theta
-    onehot = np.eye(n_classes)[y]
-    penalty = np.full(d + 1, 1.0 / (c * n))
-    penalty[-1] = 0.0
+    keep = (~held).T.astype(np.float64)[:, None, :]  # (n, 1, F): the rows each fit counts
+    n_f = keep.sum(axis=0).T  # (F, 1)
+    target = np.eye(n_classes)[y][:, :, None] * keep
+    penalty = np.zeros((n_fits, d + 1))
+    penalty[:, :d] = 1.0 / (c * n_f)  # the bias column stays unpenalized
     if init is None:
-        theta = np.zeros((n_classes, d + 1))
+        theta = np.zeros(shape)
     else:
-        theta = np.hstack([init[0], init[1][:, None]])
+        theta = np.concatenate([init[0], init[1][..., None]], axis=-1).reshape(shape)
     rows = np.arange(n)
 
+    def scores(theta):
+        return (xa @ theta.reshape(-1, d + 1).T).reshape(n, n_classes, n_fits)
+
+    def by_fit(a, b):
+        """Each fit's inner product of two (K, F, d+1) arrays."""
+        return np.einsum("kfj,kfj->f", a, b)
+
     def objective(theta):
-        """Objective value and softmax probabilities at theta."""
-        z = xa @ theta.T
+        """Each fit's objective value and its softmax probabilities at theta,
+        zero on the rows it leaves out."""
+        z = scores(theta)
         z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
-        norm = e.sum(axis=1)
-        nll = (np.log(norm) - z[rows, y]).mean()
-        return nll + 0.5 * (penalty * theta**2).sum(), e / norm[:, None]
+        norm = np.einsum("nkf->nf", e)
+        nll = np.einsum("nf,nf->f", keep[:, 0], np.log(norm) - z[rows, y]) / n_f[:, 0]
+        probs = e / norm[:, None]
+        probs *= keep
+        return nll + 0.5 * by_fit(penalty * theta, theta), probs
+
+    def mean_rows(r):
+        """Each fit's mean over its rows of r's outer products with xa."""
+        return (r.reshape(n, -1).T @ xa).reshape(shape) / n_f
 
     def hess_vec(probs, v):
-        pz = probs * (xa @ v.T)
-        r = pz - probs * pz.sum(axis=1, keepdims=True)
-        return r.T @ xa / n + penalty * v
+        pz = probs * scores(v)
+        r = pz - probs * np.einsum("nkf->nf", pz)[:, None]
+        return mean_rows(r) + penalty * v
 
     f, probs = objective(theta)
+    running = np.ones(n_fits, dtype=bool)
     for newton_steps in range(cfg.max_iter + 1):
-        grad = (probs - onehot).T @ xa / n + penalty * theta
-        gnorm = np.sqrt((grad**2).sum())
-        if gnorm < cfg.grad_tol:
-            return theta[:, :d], theta[:, d]
+        grad = mean_rows(probs - target) + penalty * theta
+        gnorm = np.sqrt(by_fit(grad, grad))
+        running &= ~(gnorm < cfg.grad_tol)  # a NaN norm keeps its fit running, to fail
+        if not running.any():
+            w, b = theta[..., :d], theta[..., d]
+            return (w[:, 0], b[:, 0]) if single else (w, b)
         if newton_steps == cfg.max_iter:
             break
-        step = np.zeros_like(theta)
+        # each fit's CG stops on its own; a stopped fit's step stays as it is
+        step = np.zeros(shape)
         resid = -grad
         direction = resid.copy()
-        rr = (resid**2).sum()
-        for _ in range(theta.size):
+        rr = by_fit(resid, resid)
+        cg_tol = CG_FORCING * gnorm
+        solving = running.copy()
+        for _ in range(n_classes * (d + 1)):
             hd = hess_vec(probs, direction)
-            curvature = (direction * hd).sum()
-            if curvature <= 0.0:
-                break
-            alpha = rr / curvature
+            curvature = by_fit(direction, hd)
+            solving &= curvature > 0.0
+            alpha = np.divide(rr, curvature, out=np.zeros(n_fits), where=solving)[:, None]
             step += alpha * direction
             resid -= alpha * hd
-            rr_next = (resid**2).sum()
-            if np.sqrt(rr_next) <= CG_FORCING * gnorm:
+            rr_next = by_fit(resid, resid)
+            solving &= np.sqrt(rr_next) > cg_tol
+            if not solving.any():
                 break
-            direction = resid + (rr_next / rr) * direction
+            beta = np.divide(rr_next, rr, out=np.zeros(n_fits), where=solving)[:, None]
+            direction = resid + beta * direction
             rr = rr_next
-        slope = (grad * step).sum()
+        # every fit still searching tries the same t, as all start at 1 and halve together
+        slope = by_fit(grad, step)
+        searching = running.copy()
         t = 1.0
         while t > 1e-10:
-            f_new, probs_new = objective(theta + t * step)
-            if f_new <= f + 1e-4 * t * slope:
+            trial = theta + t * step
+            f_trial, probs_trial = objective(trial)
+            done = searching & (f_trial <= f + 1e-4 * t * slope)
+            np.copyto(theta, trial, where=done[:, None])
+            np.copyto(probs, probs_trial, where=done)
+            np.copyto(f, f_trial, where=done)
+            searching &= ~done
+            if not searching.any():
                 break
             t *= 0.5
         else:
+            running = searching
             break
-        theta = theta + t * step
-        f, probs = f_new, probs_new
     raise DataError(
-        f"probe fit at C={c:g} did not converge: gradient norm {gnorm:.3g} "
+        f"probe fit at C={c:g} did not converge: gradient norm {gnorm[running].max():.3g} "
         f"after {newton_steps} Newton steps"
     )
-
-
-def _predict_logistic(w, b, x):
-    return np.argmax(x @ w.T + b, axis=1)
 
 
 def _stratified_folds(y: np.ndarray, folds: int, rng) -> np.ndarray:
@@ -462,10 +540,10 @@ def linear_probe_classify(
 ) -> ProbeResult:
     """Cross-validated c search, then a full-train fit scored on validation.
 
-    Within each fold the fits walk the C grid in ascending order, each
-    warm-started from the previous solution; the full-train fit at the chosen
-    C starts from zero. Ties in cross-validation accuracy resolve toward the
-    smaller c.
+    The folds' fits walk the C grid in ascending order, all folds of one C
+    solved together and each fit warm-started from its fold's previous
+    solution; the full-train fit at the chosen C starts from zero. Ties in
+    cross-validation accuracy resolve toward the smaller c.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
@@ -486,18 +564,18 @@ def linear_probe_classify(
 
     rng = np.random.default_rng(config.seed)
     assignment = _stratified_folds(train_y, config.folds, rng)
-    # each fold walks the grid upward, every fit starting from the previous C's solution
-    correct = dict.fromkeys(sorted(set(config.c_grid)), 0)
-    for fold in range(config.folds):
-        held = assignment == fold
-        fit = None
-        for c in correct:
-            fit = _fit_logistic(train_x[~held], train_y[~held], n_classes, c, config, init=fit)
-            correct[c] += int((_predict_logistic(*fit, train_x[held]) == train_y[held]).sum())
+    held = assignment == np.arange(config.folds)[:, None]  # (folds, n)
+    correct = {}
+    fit = None
+    for c in sorted(set(config.c_grid)):
+        fit = _fit_logistic(train_x, train_y, n_classes, c, config, init=fit, held=held)
+        w, b = fit  # (K, folds, d) and (K, folds)
+        pred = np.argmax(train_x @ w.transpose(1, 2, 0) + b.T[:, None], axis=2)
+        correct[c] = np.count_nonzero((pred == train_y) & held)
     cv_accuracy = {c: correct[c] / len(train_y) for c in config.c_grid}
 
     best = max(cv_accuracy.values())
     best_c = min(c for c in config.c_grid if cv_accuracy[c] == best)
     w, b = _fit_logistic(train_x, train_y, n_classes, best_c, config)
-    val_accuracy = float((_predict_logistic(w, b, val_x) == val_y).mean())
+    val_accuracy = float((np.argmax(val_x @ w.T + b, axis=1) == val_y).mean())
     return ProbeResult(best_c=best_c, val_accuracy=val_accuracy, cv_accuracy=cv_accuracy)

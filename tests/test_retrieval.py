@@ -101,6 +101,23 @@ class TestQueryTopk:
         assert [x[0] for x in a] == [x[0] for x in b]
 
 
+def tied_gallery(rng, n=60, d=4):
+    """A gallery whose rows repeat a few directions, so rankings are full of ties."""
+    vectors = rng.integers(-1, 2, size=(n // 4, d)).astype(np.float64)
+    vectors[np.all(vectors == 0, axis=1)] = 1.0
+    vectors = np.concatenate([vectors] * 4)[rng.permutation(n)]
+    ids = [f"g{i}" for i in range(n)]
+    return build_index(vectors, ids), ids, vectors
+
+
+def oracle_ranking(index, q, skip=()):
+    """Gallery ids by decreasing cosine, ties by insertion order, `skip` left out:
+    a full sort of (-similarity, row) pairs."""
+    sims = index.matrix @ (q / np.linalg.norm(q))
+    pairs = sorted((-s, i) for i, s in enumerate(sims) if index.ids[i] not in skip)
+    return [index.ids[i] for _, i in pairs]
+
+
 class TestRecall:
     def make_index(self):
         rng = np.random.default_rng(3)
@@ -137,6 +154,20 @@ class TestRecall:
         report = recall_at_k(index, {"g4": vectors[4]}, {"g4": {"g5"}}, ks=[1])
         top = query_topk(index, vectors[4], k=1, exclude={"g4"})
         assert report.rates[1] == (1.0 if top[0][0] == "g5" else 0.0)
+
+    def test_hits_match_a_full_sort_oracle(self):
+        index, ids, vectors = tied_gallery(np.random.default_rng(5))
+        queries = {ids[i]: vectors[i] for i in range(0, 60, 3)}  # in the gallery
+        queries |= {f"q{i}": vectors[i] + 0.5 for i in range(10)}  # not in it
+        truth = {q: {ids[(7 * i) % 60], ids[(11 * i + 1) % 60]} for i, q in enumerate(queries)}
+        ks = [1, 2, 5, 10]
+        report = recall_at_k(index, queries, truth, ks=ks)
+        expected = {k: 0 for k in ks}
+        for qid, vec in queries.items():
+            ranked = oracle_ranking(index, vec, skip={qid})
+            for k in ks:
+                expected[k] += any(t in ranked[:k] for t in truth[qid])
+        assert report.hits == expected
 
 
 def direction_coded_counts(rng, n_per_count=20, counts=range(1, 11), noise=0.01):
@@ -387,6 +418,19 @@ class TestRagSelection:
         bundle = select_rag_examples(index, "q", vectors[0], partial, k=3)
         assert all(e["id"] not in ("g0", "g1") for e in bundle.examples)
 
+    def test_bundles_match_a_full_sort_oracle(self):
+        index, ids, vectors = tied_gallery(np.random.default_rng(6))
+        labels = {id: f"l{i % 3}" for i, id in enumerate(ids) if i % 5}  # some unlabeled
+        queries = {ids[i]: vectors[i] for i in range(0, 60, 4)}  # labeled and unlabeled
+        queries |= {f"q{i}": vectors[i] + 0.5 for i in range(10)}
+        result = evaluate_rag(index, labels, queries, {q: "l0" for q in queries}, k=4)
+        unlabeled = {id for id in ids if id not in labels}
+        for bundle, (qid, vec) in zip(result["bundles"], queries.items()):
+            expected = oracle_ranking(index, vec, skip=unlabeled | {qid})[:4]
+            assert bundle.query == qid
+            assert [e["id"] for e in bundle.examples] == expected
+            assert bundle == select_rag_examples(index, qid, vec, labels, k=4)
+
     def test_majority_oracle_tie_break(self):
         bundle = PromptBundle(
             query="q",
@@ -479,6 +523,22 @@ class TestLinearProbe:
         y = np.array([0] * 9 + [1] * 3)
         with pytest.raises(DataError, match="training members"):
             linear_probe_classify(x, y, x, y, ProbeConfig(folds=5))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+            ({"grad_tol": 0.0}, "grad_tol must be > 0, got 0.0"),
+            ({"grad_tol": float("nan")}, "grad_tol must be > 0, got nan"),
+            ({"grad_tol": float("inf")}, "grad_tol must be finite, got inf"),
+            ({"c_grid": (float("nan"),)}, "c_grid must be non-empty and positive"),
+            ({"c_grid": (1.0, float("inf"))}, r"c_grid values must be finite, got \(1.0, inf\)"),
+        ],
+        ids=["max-iter-neg", "grad-tol-0", "grad-tol-nan", "grad-tol-inf", "c-nan", "c-inf"],
+    )
+    def test_bad_settings_rejected(self, fields, message):
+        with pytest.raises(DataError, match=message):
+            ProbeConfig(**fields)
 
     def test_empty_train_rejected(self):
         x = np.random.default_rng(13).normal(size=(4, 3))
@@ -591,3 +651,69 @@ class TestProbeSolver:
         w, b = _fit_logistic(x[train], y[train], 3, 1e4, cfg)
         assert probe_objective(x[train], y[train], 3, 1e4, w, b)[1] < cfg.grad_tol
         assert np.all(predict(w, b, x) != 2)
+
+
+@st.composite
+def fold_problems(draw):
+    """Blob problems of 2-5 classes split into 2-10 folds; with `absent`, the
+    solver gets one class more than the labels hold."""
+    present = draw(st.integers(2, 4))
+    absent = draw(st.booleans())
+    folds = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    x, y = blobs(rng, folds + draw(st.integers(0, 8)), present, draw(st.integers(2, 8)),
+                 spread=draw(st.sampled_from([0.3, 1.0, 2.5])))
+    held = _stratified_folds(y, folds, rng) == np.arange(folds)[:, None]
+    return x, y, present + absent, held
+
+
+class TestBatchedFolds:
+    """One batched solve of every fold against F = 1 fits of the same rows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(fold_problems())
+    def test_each_fold_is_a_converged_single_fit(self, problem):
+        x, y, k, held = problem
+        cfg = ProbeConfig()
+        fit = None
+        for c in (1.0, 1e2, 1e4):  # each batch warm-started from the previous C's
+            init = fit
+            w, b = fit = _fit_logistic(x, y, k, c, cfg, init=init, held=held)
+            for f, out in enumerate(held):
+                rows = ~out
+                value, gnorm = probe_objective(x[rows], y[rows], k, c, w[:, f], b[:, f])
+                assert gnorm < cfg.grad_tol
+                start = None if init is None else (init[0][:, f], init[1][:, f])
+                w1, b1 = _fit_logistic(x[rows], y[rows], k, c, cfg, init=start)
+                value1, gnorm1 = probe_objective(x[rows], y[rows], k, c, w1, b1)
+                # the gradient tolerance fixes the objective only up to what
+                # convexity gives, f(a) - f(b) <= |grad f(a)| |a - b|: along
+                # flat directions (large C, a class absent) the two may stop
+                # a Newton step apart, up to ~1e-7 apart in objective
+                dist = np.sqrt(((w[:, f] - w1) ** 2).sum() + ((b[:, f] - b1) ** 2).sum())
+                assert abs(value - value1) <= max(gnorm, gnorm1) * dist + 1e-12
+                if c <= 1e2:  # at C = 1e4 that gap can flip a held row's class
+                    np.testing.assert_array_equal(
+                        predict(w[:, f], b[:, f], x[out]), predict(w1, b1, x[out])
+                    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(fold_problems(), st.integers(0, 2))
+    def test_step_cap_names_the_worst_fold(self, problem, max_iter):
+        x, y, k, held = problem
+        cfg = ProbeConfig(max_iter=max_iter)
+        norms = []
+        for out in held:
+            try:
+                _fit_logistic(x[~out], y[~out], k, 1e4, cfg)
+            except DataError as exc:
+                norms.append(float(str(exc).split("gradient norm ")[1].split()[0]))
+        if not norms:
+            _fit_logistic(x, y, k, 1e4, cfg, held=held)
+            return
+        message = (f"probe fit at C=10000 did not converge: gradient norm {max(norms):.3g} "
+                   f"after {max_iter} Newton steps")
+        with pytest.raises(DataError) as info:
+            _fit_logistic(x, y, k, 1e4, cfg, held=held)
+        assert str(info.value) == message
