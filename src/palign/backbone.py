@@ -92,9 +92,6 @@ class LoraAdapter:
     def scale(self) -> float:
         return self.alpha / self.rank
 
-    def delta(self) -> np.ndarray:
-        return self.scale * (self.b @ self.a)
-
 
 def lora_effective_weight(base: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
     """base + (alpha / rank) * B @ A, leaving base untouched."""
@@ -103,7 +100,7 @@ def lora_effective_weight(base: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
         raise DataError(
             f"adapter shapes A{adapter.a.shape} B{adapter.b.shape} do not match base {base.shape}"
         )
-    return base + adapter.delta()
+    return base + adapter.scale * (adapter.b @ adapter.a)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +371,9 @@ class ToyEncoder:
         return Tensor(base) + scale * (leaves[f"{name}.b"] @ leaves[f"{name}.a"])
 
 
-class ToyEncoderBackbone(_Trainable):
-    """Trainer-facing wrapper: store records are raw encoder inputs."""
+class ToyEncoderBackbone(ToyEncoder, _Trainable):
+    """The toy encoder as a trainer-facing backbone: store records are its raw
+    inputs."""
 
     def __init__(self, store: EmbeddingStore, params: ToyEncoderParams):
         if store.patch_side != params.config.s or store.dim != params.config.d_in:
@@ -383,12 +381,8 @@ class ToyEncoderBackbone(_Trainable):
                 f"store layout (d={store.dim}, s={store.patch_side}) does not match encoder "
                 f"input (d_in={params.config.d_in}, s={params.config.s})"
             )
+        super().__init__(params)
         self.store = store
-        self.encoder = ToyEncoder(params)
-
-    @property
-    def params(self) -> ToyEncoderParams:
-        return self.encoder.params
 
     @property
     def trainable(self) -> dict[str, np.ndarray]:
@@ -414,7 +408,7 @@ class ToyEncoderBackbone(_Trainable):
     ) -> Tensor:
         """(len(ids), k * d) features from one forward pass. The toy adapters
         carry no dropout, so `dropout_rng` is taken and ignored."""
-        cls, patch = self.encoder.forward_graph(self._inputs(ids), leaves)
+        cls, patch = self.forward_graph(self._inputs(ids), leaves)
         if mode is FeatureMode.CLS_ONLY:
             return cls
         return concat([cls, patch.mean(axis=(1, 2))], axis=1)

@@ -453,6 +453,8 @@ def _eval_count(args, config, store) -> dict:
 
 
 def _dense_inputs(args, config, store):
+    """The adapted (N, s, s, d) patch grids of the ids with a target, in store
+    order, and their targets, which must all be of the task's kind."""
     if store.patch_side == 0:
         raise DataError("dense evaluation needs a store with patch grids (s > 0)")
     target_dir = Path(args.targets)
@@ -460,20 +462,19 @@ def _dense_inputs(args, config, store):
     # "../x" cannot name a file outside it
     entries = set(os.listdir(target_dir))
     backbone = _backbone_for(store, config)
-    features, targets, kinds = [], [], set()
+    rows, targets = [], []
     for row, id in enumerate(store.ids):
         name = f"{id}.palt"
         if name not in entries:
             continue
         target, kind = load_target(target_dir / name)
-        kinds.add(kind)
-        features.append(backbone.adapt(store.patch[row].astype(np.float64)))
+        if kind != args.task:
+            raise DataError(f"eval {args.task} needs {args.task} targets, found {kind} in {name}")
+        rows.append(row)
         targets.append(target)
-    if not features:
+    if not targets:
         raise DataError(f"no <id>.palt targets found in {target_dir}")
-    if len(kinds) > 1:
-        raise DataError(f"mixed target kinds in {target_dir}: {sorted(kinds)}")
-    return features, targets
+    return backbone.adapt(store.patch[rows].astype(np.float64)), targets
 
 
 def _split_counts(n: int, train_frac: float, seed: int):
@@ -505,10 +506,10 @@ def _eval_dense(args, config, store) -> dict:
         seed=config["seed"],
     )
     trained, history = train_linear_head(
-        args.task, [features[i] for i in tr], [targets[i] for i in tr], hyper, **head
+        args.task, features[tr], [targets[i] for i in tr], hyper, **head
     )
     score = eval_seg if args.task == "seg" else eval_depth
-    metrics = score(trained, [features[i] for i in te], [targets[i] for i in te])
+    metrics = score(trained, features[te], [targets[i] for i in te])
     metrics["final_train_loss"] = history[-1] if history else None
     metrics["n_train_images"] = len(tr)
     metrics["n_test_images"] = len(te)

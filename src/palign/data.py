@@ -254,6 +254,7 @@ def load_store(path) -> EmbeddingStore:
 # ---------------------------------------------------------------------------
 
 _MANIFEST_HEADER = ["ref", "x0", "x1", "y"]
+_LABEL_HEADER = ["id", "label"]
 
 
 def read_text(path) -> str:
@@ -266,21 +267,27 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def load_manifest(path) -> TripletManifest:
+def _csv_rows(path, kind: str, header: list[str]):
+    """(line number, row) of each non-blank row of a CSV table after `header`;
+    FormatError for an empty file, another header or a row of another width."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
-        header = next(reader)
+        found = next(reader)
     except StopIteration:
-        raise FormatError("empty manifest file") from None
-    if header != _MANIFEST_HEADER:
-        raise FormatError(f"manifest header {header} != {_MANIFEST_HEADER}")
-    entries = []
+        raise FormatError(f"empty {kind} file") from None
+    if found != header:
+        raise FormatError(f"{kind} header {found} != {header}")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 4:
-            raise FormatError(f"line {lineno}: expected 4 columns, got {len(row)}")
-        ref, x0, x1, y_raw = row
+        if len(row) != len(header):
+            raise FormatError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+        yield lineno, row
+
+
+def load_manifest(path) -> TripletManifest:
+    entries = []
+    for lineno, (ref, x0, x1, y_raw) in _csv_rows(path, "manifest", _MANIFEST_HEADER):
         if y_raw not in ("0", "1"):
             raise FormatError(f"line {lineno}: y must be 0 or 1, got {y_raw!r}")
         entries.append(TripletEntry(ref=ref, x0=x0, x1=x1, y=int(y_raw)))
@@ -310,20 +317,8 @@ def save_manifest(manifest: TripletManifest, path) -> None:
 
 
 def load_labels(path) -> dict[str, str]:
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty label file") from None
-    if header != ["id", "label"]:
-        raise FormatError(f"label header {header} != ['id', 'label']")
     labels: dict[str, str] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise FormatError(f"line {lineno}: expected 2 columns, got {len(row)}")
-        id, label = row
+    for lineno, (id, label) in _csv_rows(path, "label", _LABEL_HEADER):
         if id in labels:
             raise FormatError(f"line {lineno}: duplicate id {id!r}")
         labels[id] = label
@@ -331,7 +326,7 @@ def load_labels(path) -> dict[str, str]:
 
 
 def save_labels(labels: dict[str, str], path) -> None:
-    _write_csv(path, [("id", "label"), *labels.items()])
+    _write_csv(path, [_LABEL_HEADER, *labels.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +519,18 @@ def _offset(z: np.ndarray, subset: np.ndarray, draws: np.ndarray, radius: float)
     return w
 
 
+def _in_band(
+    e_ref: np.ndarray, norm_e_ref: float, emb_map: np.ndarray, near, far, contested: bool
+) -> bool:
+    """The band rule on the relative gap of far's and near's warped distances
+    from e_ref (norm norm_e_ref): inside the near-tie band for a contested draw,
+    at least the band wide (so frozen-correct) for an uncontested one."""
+    d_near = _cosdist(e_ref, norm_e_ref, emb_map @ near)
+    d_far = _cosdist(e_ref, norm_e_ref, emb_map @ far)
+    rel_gap = (d_far - d_near) / (0.5 * (d_far + d_near))
+    return abs(rel_gap) < _TIE_BAND if contested else rel_gap >= _TIE_BAND
+
+
 def _perturb_pair(
     rng, z: np.ndarray, emb_map: np.ndarray, contested: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -547,14 +554,8 @@ def _perturb_pair(
         far = _offset(z, order[h:], g[h:], base * _uniform(_PERT_RATIO, u_ratio))
         if _cosdist(z, norm_z, near) >= _cosdist(z, norm_z, far):
             continue
-        d_near = _cosdist(ez, norm_ez, emb_map @ near)
-        d_far = _cosdist(ez, norm_ez, emb_map @ far)
-        rel_gap = (d_far - d_near) / (0.5 * (d_far + d_near))
-        if contested != (abs(rel_gap) < _TIE_BAND):
-            continue
-        if not contested and rel_gap < 0:
-            continue  # uncontested pairs must be frozen-correct
-        return near, far
+        if _in_band(ez, norm_ez, emb_map, near, far, contested):
+            return near, far
     raise DataError("could not realize a correctly-ranked perturbation pair")
 
 
@@ -597,15 +598,8 @@ def _instance_triple(
         if _cosdist(qry, norm_qry, mate) >= _cosdist(qry, norm_qry, decoy):
             continue
         eq = emb_map @ qry
-        norm_eq = _norm(eq)
-        d_mate = _cosdist(eq, norm_eq, emb_map @ mate)
-        d_decoy = _cosdist(eq, norm_eq, emb_map @ decoy)
-        rel_gap = (d_decoy - d_mate) / (0.5 * (d_decoy + d_mate))
-        if contested != (abs(rel_gap) < _TIE_BAND):
-            continue
-        if not contested and rel_gap < 0:
-            continue
-        return qry, mate, decoy
+        if _in_band(eq, _norm(eq), emb_map, mate, decoy, contested):
+            return qry, mate, decoy
     raise DataError("could not realize a correctly-ranked instance triple")
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alignment import AdamState, adam_step
 from .autodiff import Tensor, softmax
 from .errors import DataError, FormatError
 
@@ -186,11 +187,10 @@ def jaccard_loss(pred_probs: np.ndarray, target: DenseTarget) -> float:
     return float(_jaccard_graph(Tensor(probs[None]), onehot[None]).data[0])
 
 
-def _silog_graph(pred: Tensor, target, weight, eps: float, lam: float, sign: float) -> Tensor:
-    """Per-image SILog of (B, P) depths against targets over the pixels where
-    weight is 1 (0 marks padding)."""
-    d = ((pred + eps).log() - Tensor(np.log(target + eps))) * weight
-    n = weight.sum(axis=1)
+def _silog_graph(pred: Tensor, target, eps: float, lam: float, sign: float) -> Tensor:
+    """Per-image SILog of (B, P) depths against (B, P) targets."""
+    d = (pred + eps).log() - Tensor(np.log(target + eps))
+    n = d.shape[1]
     return (d * d).sum(axis=1) / n + sign * lam * (d.sum(axis=1) / n) ** 2
 
 
@@ -215,8 +215,7 @@ def silog_loss(
     truth = target.values[target.valid_mask].astype(np.float64)
     if np.any(pred < 0) or np.any(truth < 0):
         raise DataError("depths must be >= 0")
-    loss = _silog_graph(Tensor(pred[None]), truth[None], np.ones((1, len(pred))), eps, lam,
-                        _silog_sign(sign))
+    loss = _silog_graph(Tensor(pred[None]), truth[None], eps, lam, _silog_sign(sign))
     return float(loss.data[0])
 
 
@@ -279,17 +278,21 @@ def _token_index_map(s: int, h: int, w: int) -> np.ndarray:
 
 
 def _valid_pixels(features, targets, task: str, n_classes: int | None):
-    """Tokens (N, T, d), T = s*s, and for every valid pixel (image by image,
-    row-major) the flat index of its token among the N*T and its target value.
-    Targets are checked here, once: a non-empty valid mask, seg class ids among
-    the head's classes, finite positive depths."""
-    if len(features) != len(targets) or not features:
+    """Tokens (N, T, d), T = s*s, of the (N, s, s, d) patch grids `features`,
+    and for every valid pixel (image by image, row-major) the flat index of its
+    token among the N*T and its target value. Targets are checked here, once: a
+    non-empty valid mask, seg class ids among the head's classes, finite
+    positive depths."""
+    if len(features) != len(targets) or not len(features):
         raise DataError("features and targets must be non-empty and parallel")
-    shape = features[0].shape
-    if len(shape) != 3 or shape[0] != shape[1] or any(f.shape != shape for f in features):
-        raise DataError(f"patch grids must be square and of one (s, s, d) shape, got {shape}")
-    s = shape[0]
-    tokens = np.stack(features).astype(np.float64).reshape(len(features), s * s, shape[2])
+    try:
+        grids = np.asarray(features, dtype=np.float64)
+    except ValueError:
+        raise DataError("patch grids must all have one (s, s, d) shape") from None
+    if grids.ndim != 4 or grids.shape[1] != grids.shape[2]:
+        raise DataError(f"patch grids must form one (N, s, s, d) array, got {grids.shape}")
+    s = grids.shape[1]
+    tokens = grids.reshape(len(grids), s * s, grids.shape[3])
     index, values = [], []
     for i, target in enumerate(targets):
         valid = target.values[target.valid_mask]
@@ -343,20 +346,17 @@ def _head_loss(task, w: Tensor, b: Tensor, tokens, stats, rows, binning=None, si
 
 def train_linear_head(
     task: str,
-    features: list[np.ndarray],
+    features: np.ndarray,
     targets: list[DenseTarget],
     hyper: HeadHyper,
     n_classes: int | None = None,
     binning: DepthBinning | None = None,
     silog_sign: str = "paper",
 ):
-    """Fit a linear head on frozen patch features with Adam, one graph per batch.
-
-    Only head parameters move: training reads a stacked copy of the features.
+    """Fit a linear head on frozen (N, s, s, d) patch features with Adam, one
+    graph per batch. Only head parameters move; the features are only read.
     Returns (head, per-epoch mean loss list).
     """
-    from .alignment import AdamState, adam_step  # local to avoid cycle at import
-
     if task not in ("seg", "depth"):
         raise DataError(f"task must be 'seg' or 'depth', got {task!r}")
     if task == "seg":
@@ -401,7 +401,7 @@ def train_linear_head(
 # ---------------------------------------------------------------------------
 
 
-def eval_seg(head: SegHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
+def eval_seg(head: SegHead, features: np.ndarray, targets: list[DenseTarget]) -> dict:
     """mIoU over classes present in target or prediction, plus pixel accuracy."""
     n_classes = head.n_classes
     tokens, index, truth = _valid_pixels(features, targets, "seg", n_classes)
@@ -421,7 +421,7 @@ def eval_seg(head: SegHead, features: list[np.ndarray], targets: list[DenseTarge
 DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
 
 
-def eval_depth(head: DepthHead, features: list[np.ndarray], targets: list[DenseTarget]) -> dict:
+def eval_depth(head: DepthHead, features: np.ndarray, targets: list[DenseTarget]) -> dict:
     """RMSE, AbsRel, log10, and delta-threshold accuracies over valid pixels."""
     tokens, index, b = _valid_pixels(features, targets, "depth", None)
     probs = softmax(Tensor(tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias))

@@ -96,7 +96,7 @@ def test_criterion_1_gradient_correctness():
         # one vectorized forward over every id, on constant leaves holding the
         # current adapters; CLS + pooled patch, as the mode asks
         leaves = {name: Tensor(arr) for name, arr in backbone.trainable.items()}
-        cls, patch = (t.data for t in backbone.encoder.forward_graph(xs, leaves))
+        cls, patch = (t.data for t in backbone.forward_graph(xs, leaves))
         feats = dict(zip(ids, np.concatenate([cls, patch.mean(axis=(1, 2))], axis=1)))
         total = 0.0
         for e in batch:

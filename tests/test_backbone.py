@@ -380,6 +380,16 @@ class TestStoreBackbone:
         w = lora_effective_weight(np.eye(5), bb.adapter)
         np.testing.assert_allclose(bb.adapt(grid), grid @ w.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("s,d", [(2, 16), (4, 64)])
+    def test_adapt_of_stacked_grids_is_per_grid_adapt_bit_for_bit(self, s, d):
+        # the dense evals adapt every image's grid in one product
+        store = make_store(d=d, s=s, n=7, seed=17)
+        bb = StoreBackbone(store, rank=3, seed=18)
+        bb.adapter.b[...] = np.random.default_rng(19).normal(size=bb.adapter.b.shape)
+        grids = store.patch[[5, 0, 3]].astype(np.float64)
+        want = np.stack([bb.adapt(grid) for grid in grids])
+        np.testing.assert_array_equal(bb.adapt(grids), want)
+
     def test_step_memory_below_one_dense_weight(self):
         # a 16-triplet step at d=768 never holds a d x d float64 matrix
         d = 768

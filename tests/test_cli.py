@@ -825,6 +825,33 @@ def test_dense_targets_stay_inside_targets_dir(tmp_path, capsys):
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+
+@pytest.mark.parametrize("task,other", [("seg", "depth"), ("depth", "seg")])
+def test_dense_targets_of_the_other_kind_fail_clean(tiny_world, tmp_path, capsys, task, other):
+    argv = [*tiny_argv(tiny_world, "eval", task), "--targets", tiny_world / other]
+    code, err = run_captured(capsys, *argv, "--out", tmp_path / "o")
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: eval {task} needs {task} targets, found {other} in ")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_csv_lists_every_report_metric(tiny_world, tmp_path):
+    out = tmp_path / "o"
+    assert run(*tiny_argv(tiny_world, "eval", "retrieval"), "--csv", "--out", out) == 0
+    metrics = report_of(out)["metrics"]
+    flat = {}
+    for key, value in metrics.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    assert len(flat) > 3 and not any(isinstance(v, dict) for v in flat.values())
+    want = ["metric,value", *(f"{k},{flat[k]}" for k in sorted(flat))]
+    assert (out / "metrics.csv").read_text() == "\n".join(want) + "\n"
+
+
 # every eval task's settings beyond --feature-mode, --seed, --lora-rank,
 # --lora-alpha, --adapters and --csv
 EVAL_OWN_SETTINGS = {

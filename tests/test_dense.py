@@ -268,8 +268,7 @@ def batch_and_per_image(task, s=4, d=5, n_out=6):
             public += jaccard_loss(probs_np.reshape(h, w, n_out), target)
         else:
             depth = (probs @ Tensor(binning.centers.reshape(-1, 1))).reshape(1, -1)
-            valid = np.ones((1, len(truth)))
-            total = total + _silog_graph(depth, truth[None], valid, 1e-3, 0.15, 1.0)[0]
+            total = total + _silog_graph(depth, truth[None], 1e-3, 0.15, 1.0)[0]
             public += silog_loss((probs_np @ binning.centers).reshape(h, w), target)
     want = total / float(len(features))
     want.backward()
@@ -370,6 +369,28 @@ class TestTrainHead:
         for f, b in zip(feats, before):
             np.testing.assert_array_equal(f, b)
 
+    def test_grid_array_and_list_of_grids_train_alike(self):
+        rng = np.random.default_rng(12)
+        feats = rng.normal(size=(5, 2, 2, 3))
+        targets = [full_mask(rng.integers(0, 2, size=(3, 3))) for _ in range(5)]
+        hyper = HeadHyper(epochs=2, batch_size=2)
+        h1, hist1 = train_linear_head("seg", feats, targets, hyper, n_classes=2)
+        h2, hist2 = train_linear_head("seg", list(feats), targets, hyper, n_classes=2)
+        np.testing.assert_array_equal(h1.weight, h2.weight)
+        assert hist1 == hist2
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 2, 3), (3, 3, 3)], [(2, 2, 3), (2, 2)], [(2, 3, 3), (2, 3, 3)], [(2, 2), (2, 2)]],
+        ids=["ragged-side", "ragged-rank", "not-square", "no-channels"],
+    )
+    def test_grids_not_one_square_array_rejected(self, shapes):
+        rng = np.random.default_rng(18)
+        targets = [full_mask(np.zeros((2, 2), dtype=np.int64)) for _ in shapes]
+        feats = [rng.normal(size=shape) for shape in shapes]
+        with pytest.raises(DataError, match="patch grids must"):
+            train_linear_head("seg", feats, targets, HeadHyper(epochs=1), n_classes=2)
+
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         feats = [rng.normal(size=(2, 2, 3)) for _ in range(6)]
@@ -432,8 +453,7 @@ def per_pixel_oracle(task, weight, bias, binning, features, targets, rows, sign)
             total = total + _jaccard_graph(probs[index].reshape(1, *onehot.shape[1:]), onehot)[0]
         else:
             depth = depth_decode(probs, binning)[index].reshape(1, -1)
-            total = total + _silog_graph(depth, truth[None], np.ones((1, len(truth))),
-                                         1e-3, 0.15, sign)[0]
+            total = total + _silog_graph(depth, truth[None], 1e-3, 0.15, sign)[0]
     loss = total / float(len(rows))
     loss.backward()
     return float(loss.data), [t.grad for t in leaves]
