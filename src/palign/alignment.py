@@ -95,6 +95,9 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # two arrays per parameter, of its shape, that every update reuses for
+    # its temporaries
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def adam_step(
@@ -103,7 +106,13 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> AdamState:
-    """One bias-corrected Adam update, applied to params in place."""
+    """One bias-corrected Adam update, applied to params in place:
+
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
+        p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    in that order of float operations, with every temporary written into the
+    state's scratch arrays."""
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -113,15 +122,17 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
+            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
+        m, v = state.m[name], state.v[name]
+        update, denom = state.scratch[name]
         m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
+        m += np.multiply(g, 1 - ADAM_BETA1, out=update)
         v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, g, out=update), 1 - ADAM_BETA2, out=update)
+        np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=denom), out=denom)
+        denom += ADAM_EPS
+        np.multiply(np.divide(m, 1 - ADAM_BETA1**t, out=update), lr, out=update)
+        p -= np.divide(update, denom, out=update)
     return state
 
 

@@ -4,15 +4,18 @@ Just enough machinery to differentiate the alignment objective through a
 small transformer encoder and the dense-probe heads: elementwise arithmetic,
 (batched) matmul, reductions, indexing, concat, and a few nonlinearities.
 `softmax`, `layer_norm` and `gelu` are single ops with closed-form backward
-rules and numpy forwards equal to their elementwise compositions. All
-tensors are float64 so finite-difference checks are meaningful.
+rules and numpy forwards equal to their elementwise compositions.
+`linear` (x @ w.T + b on a 2-D x) and `softmax_expectation` (softmax(x) @
+values, whose probabilities never leave the op) are single ops too, with
+forwards equal to their compositions up to round-off. All tensors are float64
+so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "softmax", "layer_norm", "gelu"]
+__all__ = ["Tensor", "concat", "softmax", "softmax_expectation", "linear", "layer_norm", "gelu"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -94,10 +97,20 @@ class Tensor:
         return self._from_op(-self.data, (self,), lambda grad: (-grad,))
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        # a - b is bit-equal to a + (-b), in one node rather than two
+        other = self._lift(other)
+        out_data = self.data - other.data
+
+        def backward(grad):
+            return (
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                -_unbroadcast(grad, other.shape) if other.requires_grad else None,
+            )
+
+        return self._from_op(out_data, (self, other), backward)
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
+        return self._lift(other) - self
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -331,6 +344,44 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (out_data * (grad - (grad * out_data).sum(axis=axis, keepdims=True)),)
 
     return Tensor._from_op(out_data, (x,), backward)
+
+
+def softmax_expectation(x: Tensor, values) -> Tensor:
+    """softmax(x) @ values along the last axis as one op, the probabilities
+    p computed in place and kept inside it; the closed-form backward is
+    p * (values - out) * g."""
+    values = np.asarray(values, dtype=np.float64)
+    probs = x.data - np.max(x.data, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out_data = probs @ values
+
+    def backward(grad):
+        g = values - out_data[..., None]
+        g *= probs
+        g *= grad[..., None]
+        return (g,)
+
+    return Tensor._from_op(out_data, (x,), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w.T + b for a 2-D x as one op, the bias added in place; the
+    backward is G w for x, G.T x for w and the row sum of G for b."""
+    x, w, b = (Tensor._lift(t) for t in (x, w, b))
+    if x.data.ndim != 2:
+        raise ValueError(f"linear needs a 2-D input, got shape {x.shape}")
+    out_data = x.data @ w.data.T
+    out_data += b.data
+
+    def backward(grad):
+        return (
+            grad @ w.data if x.requires_grad else None,
+            grad.T @ x.data if w.requires_grad else None,
+            _unbroadcast(grad, b.shape) if b.requires_grad else None,
+        )
+
+    return Tensor._from_op(out_data, (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-6) -> Tensor:

@@ -268,8 +268,10 @@ def read_text(path) -> str:
 
 
 def _csv_rows(path, kind: str, header: list[str]):
-    """(line number, row) of each non-blank row of a CSV table after `header`;
-    FormatError for an empty file, another header or a row of another width."""
+    """(line number, row) of each non-blank row of a CSV table after `header`,
+    numbered by the file line the row starts on (a quoted field can span
+    lines); FormatError for an empty file, another header or a row of another
+    width."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         found = next(reader)
@@ -277,7 +279,9 @@ def _csv_rows(path, kind: str, header: list[str]):
         raise FormatError(f"empty {kind} file") from None
     if found != header:
         raise FormatError(f"{kind} header {found} != {header}")
-    for lineno, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(header):

@@ -5,8 +5,11 @@ the token grid reach full-resolution targets by nearest-neighbor upsampling:
 each pixel reads the token whose cell holds it. So the training losses group
 by token: one graph per batch over the tokens and per-token target statistics.
 
-The depth head classifies into bins; its training loss is the
-scale-invariant log loss applied to the probability-weighted bin centers:
+The depth head classifies into bins and decodes the expected bin center,
+softmax(logits) @ centers, in one op (`autodiff.softmax_expectation`) that
+both training and `eval_depth` go through; the logits of a batch come from one
+`autodiff.linear` over its tokens flattened to rows. Its training loss is the
+scale-invariant log loss applied to those expected depths:
 
     L = mean(d_i^2) + 0.15 * mean(d_i)^2,  d_i = log(A + eps) - log(B + eps)
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import AdamState, adam_step
-from .autodiff import Tensor, softmax
+from .autodiff import Tensor, linear, softmax, softmax_expectation
 from .errors import DataError, FormatError
 
 TARGET_MAGIC = b"PALT"
@@ -248,6 +251,12 @@ class DepthHead:
     bias: np.ndarray  # (n_bins,)
     binning: DepthBinning = field(default_factory=DepthBinning)
 
+    def __post_init__(self):
+        if self.weight.shape[0] != self.binning.n_bins:
+            raise DataError(
+                f"head has {self.weight.shape[0]} bins, binning {self.binning.n_bins}"
+            )
+
 
 @dataclass
 class HeadHyper:
@@ -328,8 +337,10 @@ def _head_inputs(features, targets, task: str, n_classes: int | None):
 def _head_loss(task, w: Tensor, b: Tensor, tokens, stats, rows, binning=None, sign=1.0):
     """Mean loss of the images `rows` as one graph over the head's w and b,
     from `_head_inputs`; the per-pixel losses up to float round-off."""
-    probs = softmax(Tensor(tokens[rows]) @ w.T + b, axis=-1)
+    batch = tokens[rows]
+    logits = linear(batch.reshape(-1, batch.shape[2]), w, b)
     if task == "seg":
+        probs = softmax(logits).reshape(*batch.shape[:2], -1)
         n = stats[0][rows]
         intersection = (probs * n).sum(axis=1)
         # each valid pixel adds p + onehot - p * onehot to its class's union
@@ -338,7 +349,8 @@ def _head_loss(task, w: Tensor, b: Tensor, tokens, stats, rows, binning=None, si
     count, mean, spread = (column[rows] for column in stats)
     # sum_i d_i^2 = sum_t S0_t (log(a_t + eps) - m_t)^2 + V_t, centered because
     # the uncentered S0 a^2 - 2 a S1 + S2 cancels badly near a fit
-    offset = (depth_decode(probs, binning) + SILOG_EPS).log() - mean
+    depth = softmax_expectation(logits, binning.centers).reshape(batch.shape[:2])
+    offset = (depth + SILOG_EPS).log() - mean
     weighted, n = offset * count, count.sum(axis=1)
     square_sum = (weighted * offset).sum(axis=1) + spread.sum(axis=1)
     return (square_sum / n + sign * SILOG_LAMBDA * (weighted.sum(axis=1) / n) ** 2).mean()
@@ -424,8 +436,8 @@ DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
 def eval_depth(head: DepthHead, features: np.ndarray, targets: list[DenseTarget]) -> dict:
     """RMSE, AbsRel, log10, and delta-threshold accuracies over valid pixels."""
     tokens, index, b = _valid_pixels(features, targets, "depth", None)
-    probs = softmax(Tensor(tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias))
-    a = depth_decode(probs.data, head.binning)[index]
+    logits = Tensor(tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias)
+    a = softmax_expectation(logits, head.binning.centers).data[index]
     b = b.astype(np.float64)
     ratio = np.maximum(a / b, b / a)
     return {

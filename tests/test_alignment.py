@@ -422,6 +422,36 @@ class TestAdam:
         with pytest.raises(DataError):
             adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState(), lr=0.1)
 
+    @pytest.mark.parametrize("shape", [(256, 64), (16, 64)])
+    def test_in_place_update_is_the_formula_bit_for_bit(self, shape):
+        # oracle: the update written with a fresh array per temporary
+        rng = np.random.default_rng(46)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-4
+        params = {"w": rng.normal(size=shape), "b": rng.normal(size=shape[:1])}
+        want = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        state = AdamState()
+        for t in range(1, 51):
+            # gradients spanning many magnitudes, some exactly zero
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-12, 3, p.shape)
+                     * (rng.random(p.shape) > 0.1) for name, p in params.items()}
+            given = {name: g.copy() for name, g in grads.items()}
+            adam_step(params, grads, state, lr)
+            for name, g in grads.items():
+                m[name] *= b1
+                m[name] += (1 - b1) * g
+                v[name] *= b2
+                v[name] += (1 - b2) * (g * g)
+                m_hat = m[name] / (1 - b1**t)
+                v_hat = v[name] / (1 - b2**t)
+                want[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(params[name], want[name])
+                np.testing.assert_array_equal(state.m[name], m[name])
+                np.testing.assert_array_equal(state.v[name], v[name])
+                np.testing.assert_array_equal(g, given[name])
+        assert state.step == 50
+
 
 def manifest_from(entries):
     return TripletManifest(entries=entries)

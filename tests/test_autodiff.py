@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from palign.autodiff import _GELU_C, Tensor, concat, gelu, layer_norm, softmax
+from palign.autodiff import (
+    _GELU_C,
+    Tensor,
+    concat,
+    gelu,
+    layer_norm,
+    linear,
+    softmax,
+    softmax_expectation,
+)
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -96,6 +105,32 @@ class TestElementwise:
     def test_neg(self):
         x = RNG.normal(size=(3,))
         check_grad(lambda t: (-t * t).sum(), x)
+
+    def test_sub_grad_broadcast_on_both_sides(self):
+        a, b = RNG.normal(size=(3, 1)), RNG.normal(size=(1, 4))
+        w = RNG.normal(size=(3, 4))
+        check_grad(lambda t: ((t - Tensor(b)) ** 3 * Tensor(w)).sum(), a)
+        check_grad(lambda t: ((Tensor(a) - t) ** 3 * Tensor(w)).sum(), b)
+        check_grad(lambda t: ((t - t.T) ** 2 * Tensor(w[:, :3])).sum(), a @ b[:, :3])
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_sub_is_one_node_equal_to_add_neg_bit_for_bit(self, reflected):
+        a, b = RNG.normal(size=(3, 1)) * 5, RNG.normal(size=(4,))
+        if reflected:
+            a = float(a[0, 0])
+        g = RNG.normal(size=(3, 4) if not reflected else (4,))
+        got, want = [], []
+        for build, leaves in ((lambda x, y: x - y, got), (lambda x, y: x + (-y), want)):
+            x = a if reflected else Tensor(a, requires_grad=True)
+            y = Tensor(b, requires_grad=True)
+            out = build(x, y)
+            out.backward(g)
+            leaves.extend([out] + [t for t in (x, y) if isinstance(t, Tensor)])
+        assert got[0]._parents[-1] is got[-1]  # no negation node in between
+        for t, u in zip(got, want):
+            np.testing.assert_array_equal(t.data, u.data)
+            if t.grad is not None or u.grad is not None:
+                np.testing.assert_array_equal(t.grad, u.grad)
 
 
 class TestMatmulAndShapes:
@@ -272,6 +307,68 @@ class TestComposites:
         np.testing.assert_allclose(out.data, [0.0, 10.0], atol=1e-4)
 
 
+class TestLinear:
+    @pytest.mark.parametrize("bias_shape", [(5,), (1, 5)])
+    def test_grad_of_every_operand(self, bias_shape):
+        operands = [RNG.normal(size=(6, 4)), RNG.normal(size=(5, 4)),
+                    RNG.normal(size=bias_shape)]
+        g = RNG.normal(size=(6, 5))
+        for i in range(3):
+            def build(t, i=i):
+                args = [Tensor(a) for a in operands]
+                args[i] = t
+                return (linear(*args) * Tensor(g)).sum()
+
+            check_grad(build, operands[i])
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_matches_the_composite(self, x_grad):
+        x, w, b = RNG.normal(size=(7, 3)), RNG.normal(size=(4, 3)), RNG.normal(size=4)
+        g = RNG.normal(size=(7, 4))
+        results = []
+        for fn in (linear, lambda x, w, b: x @ w.T + b):
+            leaves = [Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True),
+                      Tensor(b, requires_grad=True)]
+            out = fn(*leaves)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in leaves])
+        np.testing.assert_allclose(results[0][0], results[1][0], rtol=1e-14)
+        for got, want in zip(results[0][1:], results[1][1:]):
+            if not x_grad and want is None:
+                assert got is None
+                continue
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_rejects_input_not_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(5)))
+
+
+class TestSoftmaxExpectation:
+    VALUES = np.array([0.1, 0.4, 0.45, 2.0, 3.5, 9.0])  # uneven spacing
+
+    @pytest.mark.parametrize("shape", [(4, 6), (2, 3, 6)])
+    def test_grad(self, shape):
+        x = RNG.normal(size=shape) * 2
+        w = RNG.normal(size=shape[:-1])
+        check_grad(lambda t: (softmax_expectation(t, self.VALUES) * Tensor(w)).sum(), x)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (2, 3, 6)])
+    def test_matches_the_composite(self, shape):
+        x = RNG.normal(size=shape) * 4
+        w = RNG.normal(size=shape[:-1])
+        given = x.copy()
+        results = []
+        for fn in (softmax_expectation, lambda t, v: (softmax(t) * Tensor(v)).sum(axis=-1)):
+            t = Tensor(x, requires_grad=True)
+            out = fn(t, self.VALUES)
+            (out * Tensor(w)).sum().backward()
+            results.append((out.data, t.grad))
+        np.testing.assert_allclose(results[0][0], results[1][0], rtol=1e-14)
+        np.testing.assert_allclose(results[0][1], results[1][1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(x, given)
+
+
 class TestConstantOperands:
     """A constant operand (requires_grad False) gets no gradient, and the
     other operand's gradient is the same expression as before."""
@@ -283,6 +380,7 @@ class TestConstantOperands:
 
     @pytest.mark.parametrize("op, want_x, want_c", [
         (lambda x, c: x + c, lambda x, c, g: g, lambda x, c, g: g.sum(axis=0)),
+        (lambda x, c: x - c, lambda x, c, g: g, lambda x, c, g: -g.sum(axis=0)),
         (lambda x, c: x * c, lambda x, c, g: g * c, lambda x, c, g: (g * x).sum(axis=0)),
         (lambda x, c: x / c, lambda x, c, g: g / c,
          lambda x, c, g: (-g * x / c**2).sum(axis=0)),
@@ -303,8 +401,8 @@ class TestConstantOperands:
 
     def test_reflected_ops_skip_the_constant(self):
         x, g = self.x, self.g
-        for out in (2.0 + Tensor(x, requires_grad=True), 2.0 * Tensor(x, requires_grad=True),
-                    2.0 / Tensor(x, requires_grad=True)):
+        for out in (2.0 + Tensor(x, requires_grad=True), 2.0 - Tensor(x, requires_grad=True),
+                    2.0 * Tensor(x, requires_grad=True), 2.0 / Tensor(x, requires_grad=True)):
             grads = out._backward(g)
             assert sum(grad is None for grad in grads) == 1
 

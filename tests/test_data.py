@@ -395,6 +395,19 @@ class TestManifestIO:
         with pytest.raises(DataError, match="distinct"):
             TripletEntry("r", "r", "b", 0)
 
+    def test_manifest_error_names_the_file_line_after_a_multiline_field(self, tmp_path):
+        # the quoted id spans lines 2-3, so the bad row is record 4 but line 5
+        path = tmp_path / "m.csv"
+        path.write_text('ref,x0,x1,y\n"a\nb",c,d,1\ne,f,g,0\nh,i,j,2\n')
+        with pytest.raises(FormatError, match="^line 5: y must be 0 or 1, got '2'$"):
+            load_manifest(path)
+
+    def test_labels_error_names_the_file_line_after_a_multiline_field(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text('id,label\n"a\nb",x\nc,y\n\nc,z\n')
+        with pytest.raises(FormatError, match="^line 6: duplicate id 'c'$"):
+            load_labels(path)
+
     def test_labels_round_trip(self, tmp_path):
         labels = {"a": "cat", "b": "dog"}
         path = tmp_path / "l.csv"

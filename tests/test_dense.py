@@ -15,6 +15,7 @@ from palign.dense import (
     _head_inputs,
     _head_loss,
     _jaccard_graph,
+    _jaccard_ratio,
     _silog_graph,
     _token_index_map,
     depth_decode,
@@ -459,6 +460,21 @@ def per_pixel_oracle(task, weight, bias, binning, features, targets, rows, sign)
     return float(loss.data), [t.grad for t in leaves]
 
 
+def composite_head_loss(task, w, b, tokens, stats, rows, binning, sign):
+    """`_head_loss` built from the general ops: a 3-D matmul plus a bias node,
+    `softmax`, and for depth `depth_decode` of the probabilities."""
+    probs = softmax(Tensor(tokens[rows]) @ w.T + b, axis=-1)
+    if task == "seg":
+        n = stats[0][rows]
+        union = (probs * (n.sum(axis=2, keepdims=True) - n)).sum(axis=1) + n.sum(axis=1)
+        return _jaccard_ratio((probs * n).sum(axis=1), union).mean()
+    count, mean, spread = (column[rows] for column in stats)
+    offset = (depth_decode(probs, binning) + 1e-3).log() - mean
+    weighted, n = offset * count, count.sum(axis=1)
+    square_sum = (weighted * offset).sum(axis=1) + spread.sum(axis=1)
+    return (square_sum / n + sign * 0.15 * (weighted.sum(axis=1) / n) ** 2).mean()
+
+
 class TestTokenLossOracle:
     """`_head_loss` over per-token statistics against per-pixel graphs."""
 
@@ -497,6 +513,25 @@ class TestTokenLossOracle:
         rtol = 1e-10 if near_fit and task == "depth" else 1e-12
         for leaf, grad in zip(leaves, want_grads):
             assert np.abs(leaf.grad - grad).max() <= rtol * np.abs(grad).max()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("task", ["seg", "depth"])
+    def test_fused_ops_match_the_composite_graph(self, task, seed):
+        rng = np.random.default_rng(seed)
+        weight, bias, binning, features, targets = token_loss_world(
+            rng, task, 3, [(5, 7), (2, 2), (9, 4), (6, 6)], seed % 2 == 0, False, d=4, n_out=9
+        )
+        tokens, stats = _head_inputs(features, targets, task, len(bias))
+        rows, sign = rng.permutation(len(features)), (1.0, -1.0)[seed % 3 == 0]
+        results = []
+        for fn in (_head_loss, composite_head_loss):
+            leaves = [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+            loss = fn(task, *leaves, tokens, stats, rows, binning, sign)
+            loss.backward()
+            results.append([float(loss.data)] + [t.grad for t in leaves])
+        assert results[0][0] == pytest.approx(results[1][0], rel=1e-12, abs=0.0)
+        for got, want in zip(results[0][1:], results[1][1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("task", ["seg", "depth"])
     def test_grads_match_finite_differences(self, task):
@@ -646,6 +681,10 @@ class TestEvalDepth:
         assert metrics["log10"] == pytest.approx(np.mean(logs), rel=1e-12)
         for k, thr in enumerate([1.25, 1.25**2, 1.25**3], start=1):
             assert metrics[f"delta{k}"] == pytest.approx(np.mean(np.array(ratios) < thr), rel=1e-12)
+
+    def test_head_and_binning_of_other_bin_counts_rejected(self):
+        with pytest.raises(DataError, match="head has 8 bins, binning 16"):
+            DepthHead(np.zeros((8, 3)), np.zeros(8), DepthBinning(n_bins=16))
 
     def test_nonpositive_target_rejected(self):
         rng = np.random.default_rng(20)
