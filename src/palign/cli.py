@@ -313,28 +313,45 @@ def _read_id_list(path: str) -> list[str]:
     return [id for id in ids if id]
 
 
-def _gallery_and_queries(featurize, ids, labels_path, queries_path):
-    """Index of the labeled non-query ids, query features, and the labels.
+def _manifest_ids(*manifests: TripletManifest) -> set[str]:
+    return {id for m in manifests for e in m for id in (e.ref, e.x0, e.x1)}
 
-    Every query must carry a label; the gallery keeps store order.
-    """
+
+def _labeled_queries(labels_path, queries_path) -> tuple[dict[str, str], list[str]]:
+    """The labels and the query ids; every query must carry a label, so the
+    labels name every id a retrieval eval reads."""
     labels = load_labels(labels_path)
     query_ids = _read_id_list(queries_path)
     for q in query_ids:
         if q not in labels:
             raise DataError(f"query {q!r} has no label")
+    return labels, query_ids
+
+
+def _gallery_and_queries(featurize, ids, labels, query_ids, labels_path):
+    """Index of the labeled non-query ids, in the order of `ids`, and the
+    query features."""
     skip = set(query_ids)
     gallery = [id for id in ids if id in labels and id not in skip]
     if not gallery:
         raise DataError(f"no labeled gallery ids outside the queries in {labels_path}")
     index = build_index(np.stack([featurize(id) for id in gallery]), gallery)
     queries = {q: featurize(q) for q in query_ids}
-    return index, queries, labels
+    return index, queries
 
 
-def _recall(featurize, ids, labels_path, queries_path, ks: str) -> dict:
-    index, queries, labels = _gallery_and_queries(featurize, ids, labels_path, queries_path)
-    truth = {q: {g for g in index.ids if labels[g] == labels[q]} for q in queries}
+def _truth_sets(gallery, labels, query_ids) -> dict[str, set[str]]:
+    """Each query's gallery ids of its own label; the gallery is grouped by
+    label once, so this is O(gallery + queries)."""
+    by_label: dict[str, set[str]] = {}
+    for g in gallery:
+        by_label.setdefault(labels[g], set()).add(g)
+    return {q: by_label.get(labels[q], set()) for q in query_ids}
+
+
+def _recall(featurize, ids, labels, query_ids, labels_path, ks: str) -> dict:
+    index, queries = _gallery_and_queries(featurize, ids, labels, query_ids, labels_path)
+    truth = _truth_sets(index.ids, labels, queries)
     return recall_at_k(index, queries, truth, ks=_ints(ks)).to_dict()
 
 
@@ -408,12 +425,12 @@ def cmd_align(args, config) -> int:
     t0 = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    store = load_store(args.store)
     manifest = load_manifest(args.manifest)
     if args.val_manifest:
         train, val = manifest, load_manifest(args.val_manifest)
     else:
         train, val = _split(manifest, config)
+    store = load_store(args.store, _manifest_ids(train, val))
     cfg = _align_config(config)
     backbone = _backbone_for(store, config)
     snapshot, history = train_alignment(cfg, backbone, train, val)
@@ -440,27 +457,33 @@ def cmd_align(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_retrieval(args, config, store) -> dict:
+def _eval_retrieval(args, config) -> dict:
+    labels, query_ids = _labeled_queries(args.labels, args.queries)
+    store = load_store(args.store, labels)
     featurize = _featurizer(store, config)
-    return _recall(featurize, store.ids, args.labels, args.queries, config["ks"])
+    return _recall(featurize, store.ids, labels, query_ids, args.labels, config["ks"])
 
 
-def _eval_count(args, config, store) -> dict:
+def _eval_count(args, config) -> dict:
+    train_labels, test_labels = load_labels(args.train_labels), load_labels(args.test_labels)
+    store = load_store(args.store, [*train_labels, *test_labels])
     featurize = _featurizer(store, config)
-    train = CountDataset.from_store(store, load_labels(args.train_labels), featurize)
-    test = CountDataset.from_store(store, load_labels(args.test_labels), featurize)
+    train = CountDataset.from_store(store, train_labels, featurize)
+    test = CountDataset.from_store(store, test_labels, featurize)
     return knn_count_eval(train, test, ks=_ints(config["ks"]))
 
 
-def _dense_inputs(args, config, store):
+def _dense_inputs(args, config):
     """The adapted (N, s, s, d) patch grids of the ids with a target, in store
     order, and their targets, which must all be of the task's kind."""
-    if store.patch_side == 0:
-        raise DataError("dense evaluation needs a store with patch grids (s > 0)")
     target_dir = Path(args.targets)
     # an id's target is an entry of the directory itself, so an id such as
     # "../x" cannot name a file outside it
     entries = set(os.listdir(target_dir))
+    ids = [name.removesuffix(".palt") for name in entries if name.endswith(".palt")]
+    store = load_store(args.store, ids)
+    if store.patch_side == 0:
+        raise DataError("dense evaluation needs a store with patch grids (s > 0)")
     backbone = _backbone_for(store, config)
     rows, targets = [], []
     for row, id in enumerate(store.ids):
@@ -483,11 +506,11 @@ def _split_counts(n: int, train_frac: float, seed: int):
     return perm[:n_train], perm[n_train:]
 
 
-def _eval_dense(args, config, store) -> dict:
+def _eval_dense(args, config) -> dict:
     """A linear seg or depth head (args.task) on the patch tokens."""
     if not 0.0 < config["train_frac"] < 1.0:
         raise DataError(f"--train-frac must be in (0, 1), got {config['train_frac']}")
-    features, targets = _dense_inputs(args, config, store)
+    features, targets = _dense_inputs(args, config)
     if args.task == "seg":
         # valid pixels only: an ignore label such as 255 names no class
         head = {"n_classes": max(int(t.values[t.valid_mask].max(initial=0)) for t in targets) + 1}
@@ -517,8 +540,8 @@ def _eval_dense(args, config, store) -> dict:
 
 
 def _probe_config(config: dict) -> ProbeConfig:
-    """The probe's settings, checked; they read no data, so cmd_eval checks
-    them before the store loads."""
+    """The probe's settings, checked; they read no data, so they are checked
+    before any input is read."""
     frac = config["val_frac"]
     if not 0.0 < frac < 1.0:
         raise DataError(f"--val-frac must be in (0, 1), got {frac}")
@@ -529,10 +552,11 @@ def _probe_config(config: dict) -> ProbeConfig:
     )
 
 
-def _eval_probe(args, config, store) -> dict:
+def _eval_probe(args, config) -> dict:
     probe_cfg = _probe_config(config)
-    featurize = _featurizer(store, config)
     labels = load_labels(args.labels)
+    store = load_store(args.store, labels)
+    featurize = _featurizer(store, config)
     ids = [id for id in store.ids if id in labels]
     if not ids:
         raise DataError("no labeled ids found in the store")
@@ -551,9 +575,11 @@ def _eval_probe(args, config, store) -> dict:
     return out
 
 
-def _eval_rag(args, config, store) -> dict:
+def _eval_rag(args, config) -> dict:
+    labels, query_ids = _labeled_queries(args.labels, args.queries)
+    store = load_store(args.store, labels)
     featurize = _featurizer(store, config)
-    index, queries, labels = _gallery_and_queries(featurize, store.ids, args.labels, args.queries)
+    index, queries = _gallery_and_queries(featurize, store.ids, labels, query_ids, args.labels)
     gallery_labels = {id: labels[id] for id in index.ids}
     query_labels = {q: labels[q] for q in queries}
     result = evaluate_rag(index, gallery_labels, queries, query_labels, k=config["k"])
@@ -565,7 +591,8 @@ def _eval_rag(args, config, store) -> dict:
     return {"accuracy": result["accuracy"], "n_queries": len(queries), "k": config["k"]}
 
 
-# each task's runner and the input flags it cannot run without
+# each task's runner, which reads its inputs and then the store rows they
+# name, and the input flags it cannot run without
 _EVAL_RUNNERS = {
     "retrieval": (_eval_retrieval, ("labels", "queries")),
     "count": (_eval_count, ("train_labels", "test_labels")),
@@ -589,10 +616,7 @@ def cmd_eval(args, config) -> int:
     missing = [_flag(name) for name in inputs if getattr(args, name) is None]
     if missing:
         raise DataError(f"eval {args.task} needs {' and '.join(missing)}")
-    if args.task == "probe":
-        _probe_config(config)
-    store = load_store(args.store)
-    metrics = runner(args, config, store)
+    metrics = runner(args, config)
     _write_report(Path(args.out), f"eval.{args.task}", config, metrics, t0)
     return 0
 
@@ -606,14 +630,15 @@ def cmd_eval(args, config) -> int:
 _ABLATE_INPUTS = {"retrieval": ("eval_labels", "eval_queries"), "afc": ("eval_manifest",)}
 
 
-def _ablate_eval(task, backbone, args, config, afc_manifest) -> dict:
+def _ablate_eval(task, backbone, args, config, labels, query_ids, afc_manifest) -> dict:
     mode = FeatureMode(config["feature_mode"])
     if task == "retrieval":
         report = _recall(
             lambda id: backbone.feature_np(id, mode),
             backbone.store.ids,
+            labels,
+            query_ids,
             args.eval_labels,
-            args.eval_queries,
             config["ks"],
         )
         return report["recall"]
@@ -642,12 +667,16 @@ def cmd_ablate(args, config) -> int:
         if lowest < 1:
             raise DataError(f"k must be >= 1, got {lowest}")
     step_counts = _ints(config["steps"]) if config["steps"] else [None]
-    eval_store = load_store(args.eval_store) if args.eval_store else None
-    afc_manifest = load_manifest(args.eval_manifest) if "afc" in tasks else None
+    labels, query_ids = {}, []
+    if "retrieval" in tasks:
+        labels, query_ids = _labeled_queries(args.eval_labels, args.eval_queries)
+    afc_manifest = load_manifest(args.eval_manifest) if "afc" in tasks else TripletManifest()
+    # the ids the evals read, from --eval-store or else from each dataset's store
+    eval_ids = _manifest_ids(afc_manifest) | labels.keys()
+    eval_store = load_store(args.eval_store, eval_ids) if args.eval_store else None
 
     rows = []
     for name, store_path, manifest_path in datasets:
-        store = load_store(store_path)
         manifest = load_manifest(manifest_path)
         if len(manifest) < config["budget"]:
             raise DataError(
@@ -657,6 +686,9 @@ def cmd_ablate(args, config) -> int:
         picks = rng.permutation(len(manifest))[: config["budget"]]
         budgeted = TripletManifest(entries=[manifest.entries[i] for i in picks])
         train, val = _split(budgeted, config)
+        store = load_store(
+            store_path, _manifest_ids(train, val) | (set() if eval_store else eval_ids)
+        )
         for steps in step_counts:
             backbone = _backbone_for(store, config)
             snapshot, _ = train_alignment(
@@ -668,7 +700,9 @@ def cmd_ablate(args, config) -> int:
                 target.load_trainable(snapshot)
             row = {"dataset": name, "steps": steps if steps is not None else "full"}
             for task in tasks:
-                row[task] = _ablate_eval(task, target, args, config, afc_manifest)
+                row[task] = _ablate_eval(
+                    task, target, args, config, labels, query_ids, afc_manifest
+                )
             rows.append(row)
     _write_report(out, "ablate", config, {"rows": rows}, t0)
     return 0

@@ -8,10 +8,13 @@ d float32 cls values, and s*s*d float32 patch values when s > 0.
 
 In memory an ``EmbeddingStore`` holds the same records as columns: the ids
 in file order, an id -> row map, one (n, d) float32 CLS matrix and, when
-s > 0, one (n, s, s, d) float32 patch array. ``load_store`` allocates the
-columns from the header, then walks the records with the file's own read
-and readinto calls: one bounds check per record, and each record's floats
-go straight from the file into their rows, with no second copy of the file.
+s > 0, one (n, s, s, d) float32 patch array. ``load_store(path, ids)`` walks
+every record's id length and id with the file's own reads, one bounds check
+per record, so a truncated or lying file, an id that is not UTF-8, and an
+empty or repeated id fail wherever they sit. Only the records whose id is in
+`ids` (all of them when `ids` is None) have their floats read, straight from
+the file into preallocated rows; the others' floats are skipped with a
+relative seek. Finiteness is checked on the rows read.
 
 Triplet manifest: CSV with header ``ref,x0,x1,y``, UTF-8, LF endings.
 Label file: CSV with header ``id,label``. Both quote a field only where CSV
@@ -195,16 +198,27 @@ _U32 = struct.Struct("<I")
 _STORE_READ_BUFFER = 1 << 16  # bytes; the small per-record reads come from memory
 
 
-def load_store(path) -> EmbeddingStore:
-    """Read a store into preallocated columns, one record's floats at a time.
+def load_store(path, ids=None) -> EmbeddingStore:
+    """Read a store, or only the records whose id is in `ids`, into
+    preallocated columns, one record's floats at a time.
 
     `BoundedReader` checks the magic, the version and the header. The header's
     record count is checked against the bytes left before anything is
-    allocated, so a lying count fails as FormatError. Each record is then
-    checked against the bytes left once, after its id length is read, and its
-    floats are read straight into their rows of the columns: the file is never
-    held in memory a second time.
+    allocated, so a lying count fails as FormatError. The walk then reads every
+    record's id length and id: each record is checked against the bytes left
+    once, after its id length is read, every id must be UTF-8, and an empty or
+    repeated id anywhere in the file fails with the error a whole-file load
+    gives. A kept record's floats are read straight into their rows of the
+    columns; any other record's floats are skipped with a relative seek. So the
+    file is never held in memory a second time, and the finiteness check, made
+    by `EmbeddingStore`, covers only the rows read.
+
+    With `ids` None every record is kept. Otherwise the kept records are those
+    whose id is in `ids`, in file order; an id of `ids` the file lacks is no
+    error here (`store.row` raises for it).
     """
+    wanted = None if ids is None else set(ids)
+    keep_all = wanted is None
     with open(path, "rb", buffering=_STORE_READ_BUFFER) as f:
         reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
         dim, side, count = reader.unpack("<IIQ", "header")
@@ -215,15 +229,21 @@ def load_store(path) -> EmbeddingStore:
                 f"truncated store file: header declares {count} records of at least"
                 f" {smallest} bytes, but {left} bytes follow"
             )
-        ids = []
-        cls = np.empty((count, dim), dtype="<f4")
-        patch = np.empty((count, side, side, dim), dtype="<f4") if side else None
+        rows = count if keep_all else min(count, len(wanted))
+        kept = []
+        cls = np.empty((rows, dim), dtype="<f4")
+        patch = np.empty((rows, side, side, dim), dtype="<f4") if side else None
         # flat byte views of the columns; memoryview(...).cast("B") would
         # refuse a zero-record array
         cls_bytes = memoryview(cls.view(np.uint8).reshape(-1))
         patch_bytes = None if patch is None else memoryview(patch.view(np.uint8).reshape(-1))
         cls_len, patch_len = 4 * dim, 4 * dim * side * side
-        read, readinto, unpack = f.read, f.readinto, _U32.unpack
+        # kept ids are checked by EmbeddingStore; the ids of the records not
+        # read, which no kept id can equal, are checked through this set
+        skipped: set[str] = set()
+        repeated = False
+        k = 0  # records kept so far
+        read, readinto, seek, unpack = f.read, f.readinto, f.seek, _U32.unpack
         for i in range(count):
             if left < 4:
                 raise FormatError(
@@ -238,15 +258,27 @@ def load_store(path) -> EmbeddingStore:
                 )
             left -= need
             try:
-                ids.append(read(id_len).decode("utf-8"))
+                id = read(id_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"store file: id is not UTF-8 ({exc})") from None
-            readinto(cls_bytes[i * cls_len : (i + 1) * cls_len])
-            if patch_bytes is not None:
-                readinto(patch_bytes[i * patch_len : (i + 1) * patch_len])
+            if keep_all or id in wanted:
+                if k < rows:
+                    kept.append(id)
+                    readinto(cls_bytes[k * cls_len : (k + 1) * cls_len])
+                    if patch_bytes is not None:
+                        readinto(patch_bytes[k * patch_len : (k + 1) * patch_len])
+                    k += 1
+                    continue
+                repeated = True  # more records match than there are rows
+            skipped.add(id)
+            seek(cls_len + patch_len, 1)
         if left:
             raise FormatError("trailing bytes after final record")
-    return EmbeddingStore(ids, cls, patch)
+    if repeated or "" in skipped or k + len(skipped) != count:
+        # an id repeats, or one not read is empty: the store fails as a
+        # whole-file load does, whose checks name the record
+        return load_store(path)
+    return EmbeddingStore(kept, cls[:k], None if patch is None else patch[:k])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end command tests: files, determinism, presets, exit codes."""
 
+import contextlib
+import io
 import json
 import struct
 from functools import partial
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from palign import cli
 from palign.backbone import save_adapters
@@ -22,6 +26,7 @@ from palign.data import (
     save_store,
 )
 from palign.dense import DenseTarget, load_target, save_target
+from palign.errors import DataError
 
 
 def run(*argv) -> int:
@@ -935,3 +940,105 @@ def test_ablate_loads_its_eval_manifest_once(tiny_world, tmp_path, monkeypatch):
     ) == 0
     assert loads.count(eval_manifest) == 1
     assert len(report_of(tmp_path / "o")["metrics"]["rows"]) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gallery=st.lists(st.text("abc", min_size=1, max_size=3), unique=True, max_size=30),
+    query_ids=st.lists(st.text("xyz", min_size=1, max_size=3), unique=True, max_size=10),
+    data=st.data(),
+)
+def test_truth_sets_are_the_gallery_scan(gallery, query_ids, data):
+    label = st.sampled_from("pqrs")
+    labels = {id: data.draw(label) for id in [*gallery, *query_ids]}
+    expected = {q: {g for g in gallery if labels[g] == labels[q]} for q in query_ids}
+    assert cli._truth_sets(gallery, labels, query_ids) == expected
+
+
+def test_query_whose_label_has_no_gallery_id_fails():
+    labels = {"g1": "a", "g2": "b", "q1": "a", "q2": "c"}
+    with pytest.raises(DataError, match="^query 'q2' has an empty ground-truth set$"):
+        cli._recall(
+            lambda id: np.ones(2), ["g1", "g2", "q1", "q2"], labels, ["q1", "q2"], "l.csv", "1"
+        )
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under out by relative path; report.json without wall_time_s."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            files[str(path.relative_to(out))] = (
+                canonical_report_bytes(path.parent) if path.name == "report.json"
+                else path.read_bytes()
+            )
+    return files
+
+
+@pytest.mark.parametrize("command,task", TINY_COMMANDS[1:], ids=lambda x: x or "")
+def test_commands_read_only_their_rows_and_report_as_from_the_whole_store(
+    tiny_world, tmp_path, monkeypatch, command, task
+):
+    whole = len(load_store(tiny_world / "store.paln"))
+    argv = tiny_argv(tiny_world, command, task)
+    if command == "eval":
+        assert run(*tiny_argv(tiny_world, "align"), "--out", tmp_path / "a") == 0
+        argv += ["--adapters", tmp_path / "a" / "adapters.pala"]
+    read = []
+
+    def recorded(path, ids=None):
+        store = load_store(path, ids)
+        read.append(len(store))
+        return store
+
+    monkeypatch.setattr(cli, "load_store", recorded)
+    assert run(*argv, "--out", tmp_path / "rows") == 0
+    assert read and all(n < whole for n in read), read
+    monkeypatch.setattr(cli, "load_store", lambda path, ids=None: load_store(path))
+    assert run(*argv, "--out", tmp_path / "whole") == 0
+    assert _outputs(tmp_path / "rows") == _outputs(tmp_path / "whole")
+
+
+STORE_COMMANDS = [("align", None)] + [("eval", task) for task in EVAL_TASKS]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    command=st.sampled_from(STORE_COMMANDS),
+    kind=st.sampled_from(["truncate", "flip", "count", "id length"]),
+)
+def test_bad_store_fails_clean_in_every_command(
+    tiny_world, tmp_path_factory, data, command, kind
+):
+    # a truncated or lying store exits 1; a bit-flipped one may still load, and
+    # a command that reads no flipped row may succeed; none ends in a traceback
+    good = tiny_world / "store.paln"
+    raw = bytearray(good.read_bytes())
+    if kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    elif kind == "flip":
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "count":
+        count = data.draw(st.integers(0, 2**64 - 1).filter(lambda c: c != len(load_store(good))))
+        raw[16:24] = struct.pack("<Q", count)
+    else:
+        at = 24
+        store = load_store(good)
+        for id in store.ids[: data.draw(st.integers(0, len(store) - 1))]:
+            at += 4 + len(id.encode()) + 4 * store.dim * (1 + store.patch_side**2)
+        (id_len,) = struct.unpack("<I", raw[at : at + 4])
+        lie = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != id_len))
+        raw[at : at + 4] = struct.pack("<I", lie)
+    out = tmp_path_factory.mktemp("bad")
+    (out / "store.paln").write_bytes(bytes(raw))
+    argv = [out / "store.paln" if a == good else a for a in tiny_argv(tiny_world, *command)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv, "--out", out / "o")
+    lines = err.getvalue().splitlines()
+    assert code in ((0, 1) if kind == "flip" else (1,)), (code, lines)
+    if code:
+        assert lines and lines[-1].startswith("error: "), lines
+

@@ -234,14 +234,15 @@ class TestStoreIO:
             EmbeddingStore(["x"], np.zeros((1, 3)), np.zeros((1, 2, 2, 4)))
 
 
-def reference_load_store(path) -> EmbeddingStore:
-    """The record-by-record store loader that `load_store` replaced, kept as
-    the oracle: every size goes through BoundedReader's checks, one call per
-    field."""
+def reference_records(path):
+    """(ids, cls, patch) of every record, read by the record-by-record store
+    walk that `load_store` replaced: every size goes through BoundedReader's
+    checks, one call per field, and nothing past the format is checked."""
 
     def read_into(reader, out, what):
         reader._reserve(out.nbytes, what)
-        reader.f.readinto(memoryview(out).cast("B"))
+        # a flat byte view: memoryview(out).cast("B") refuses a header's d = 0
+        reader.f.readinto(out.view(np.uint8).reshape(-1))
 
     with open(path, "rb") as f:
         reader = BoundedReader(f, "store", STORE_MAGIC, STORE_VERSION)
@@ -260,15 +261,60 @@ def reference_load_store(path) -> EmbeddingStore:
                 read_into(reader, patch[i], f"patch of {ids[-1]!r}")
         if reader.left:
             raise FormatError("trailing bytes after final record")
-    return EmbeddingStore(ids, cls, patch)
+    return ids, cls, patch
 
 
-def load_or_error(load, path):
-    """The store `load` reads from path, or the palign error class it raises."""
+def reference_load_store(path) -> EmbeddingStore:
+    """The oracle of `load_store(path)`: every record, checked as a whole."""
+    return EmbeddingStore(*reference_records(path))
+
+
+def reference_load_subset(path, ids) -> EmbeddingStore:
+    """The oracle of `load_store(path, ids)`: the format and the ids of every
+    record checked, then only the records whose id is in `ids`, in file order,
+    built into a store (so only their values are checked for finiteness)."""
+    all_ids, cls, patch = reference_records(path)
+    EmbeddingStore(all_ids, np.zeros((len(all_ids), 1)))  # empty or repeated ids
+    rows = [i for i, id in enumerate(all_ids) if id in set(ids)]
+    kept = [all_ids[i] for i in rows]
+    return EmbeddingStore(kept, cls[rows], None if patch is None else patch[rows])
+
+
+def load_or_error(load, path, *ids):
+    """The store `load` reads from path (and ids), or the palign error class
+    it raises."""
     try:
-        return load(path)
+        return load(path, *ids)
     except PalignError as exc:
         return type(exc)
+
+
+def assert_same_load(got, expected):
+    """Two load_or_error results: the same error class, or equal stores byte
+    for byte."""
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert not isinstance(got, type), got
+    assert got.ids == expected.ids
+    assert (got.dim, got.patch_side) == (expected.dim, expected.patch_side)
+    assert got.cls.tobytes() == expected.cls.tobytes()
+    assert (got.patch is None) == (expected.patch is None)
+    if got.patch is not None:
+        assert got.patch.tobytes() == expected.patch.tobytes()
+
+
+def write_raw_store(path, ids, cls, patch=None) -> None:
+    """A v1 store file of these records, none of them checked: ids may be
+    empty or repeat, and values need not be finite."""
+    d, s = cls.shape[1], 0 if patch is None else patch.shape[1]
+    with open(path, "wb") as f:
+        f.write(STORE_MAGIC + struct.pack("<IIIQ", STORE_VERSION, d, s, len(ids)))
+        for i, id in enumerate(ids):
+            raw = id.encode()
+            f.write(struct.pack("<I", len(raw)) + raw + cls[i].astype("<f4").tobytes())
+            if patch is not None:
+                f.write(patch[i].astype("<f4").tobytes())
 
 
 # ids of 1-4 characters of 1-4 UTF-8 bytes each
@@ -276,12 +322,19 @@ STORE_IDS = st.text(st.sampled_from("aZ_/.,é中😀\x00"), min_size=1, max_size
 
 
 class TestStoreLoaderOracle:
-    """load_store against the record-by-record reference loader."""
+    """load_store against the record-by-record reference loader, for the whole
+    file and for the records of a set of ids."""
 
     def draw_store(self, data, d, s, n, seed):
         ids = data.draw(st.lists(STORE_IDS, min_size=n, max_size=n, unique=True))
         store = small_store(d=d, s=s, n=n, seed=seed)
         return EmbeddingStore(ids, store.cls, store.patch)
+
+    def draw_ids(self, data, ids):
+        """Some of `ids` and some drawn ids, which the file may lack, in any
+        order and with repeats; sometimes none."""
+        known = st.sampled_from(ids) if ids else STORE_IDS
+        return data.draw(st.lists(st.one_of(known, STORE_IDS), max_size=8))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -303,6 +356,29 @@ class TestStoreLoaderOracle:
             if s:
                 assert loaded.patch.tobytes() == store.patch.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        s=st.integers(0, 3),
+        n=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_subset_is_the_full_load_restricted(self, data, d, s, n, seed, tmp_path_factory):
+        store = self.draw_store(data, d, s, n, seed)
+        path = tmp_path_factory.mktemp("oracle") / "s.paln"
+        save_store(store, path)
+        ids = self.draw_ids(data, store.ids)
+        got = load_store(path, ids)
+        rows = [i for i, id in enumerate(store.ids) if id in ids]
+        assert got.ids == [store.ids[i] for i in rows]
+        assert (got.dim, got.patch_side) == (d, s)
+        assert got.cls.tobytes() == store.cls[rows].tobytes()
+        assert (got.patch is None) == (s == 0)
+        if s:
+            assert got.patch.tobytes() == store.patch[rows].tobytes()
+        assert_same_load(got, reference_load_subset(path, ids))
+
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
@@ -312,6 +388,8 @@ class TestStoreLoaderOracle:
         kind=st.sampled_from(["truncate", "flip", "count", "id length"]),
     )
     def test_corrupt_file_matches_reference(self, data, d, s, n, kind, tmp_path_factory):
+        # the whole file, and the records of some ids: the same error class as
+        # the reference, or the same records
         store = self.draw_store(data, d, s, n, seed=n)
         path = tmp_path_factory.mktemp("oracle") / "s.paln"
         save_store(store, path)
@@ -331,17 +409,75 @@ class TestStoreLoaderOracle:
             id_len = data.draw(st.one_of(st.integers(0, 24), st.integers(0, 2**32 - 1)))
             raw[at : at + 4] = struct.pack("<I", id_len)
         path.write_bytes(bytes(raw))
-        got = load_or_error(load_store, path)
-        expected = load_or_error(reference_load_store, path)
-        if isinstance(expected, type):
-            assert got is expected
-        else:
-            assert not isinstance(got, type), got
-            assert got.ids == expected.ids
-            assert got.cls.tobytes() == expected.cls.tobytes()
-            assert (got.patch is None) == (expected.patch is None)
-            if got.patch is not None:
-                assert got.patch.tobytes() == expected.patch.tobytes()
+        full = load_or_error(reference_load_store, path)
+        assert_same_load(load_or_error(load_store, path), full)
+        ids = self.draw_ids(data, store.ids)
+        subset = load_or_error(reference_load_subset, path, ids)
+        assert_same_load(load_or_error(load_store, path, ids), subset)
+        # a subset load fails only as the whole file does, and loads where the
+        # whole file fails only for non-finite values in rows it does not read
+        if isinstance(subset, type):
+            assert subset is full
+        if full is FormatError:
+            assert subset is FormatError
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            (["a", "b", "b", "a"], "duplicate record id 'a'"),
+            (["a", "b", "c", "b"], "duplicate record id 'b'"),
+            (["a", "", "c", "d"], "record id must be a non-empty string"),
+            (["a", "a", "", "d"], "record id must be a non-empty string"),
+        ],
+    )
+    def test_bad_ids_of_unread_records_still_fail(self, tmp_path, ids, message):
+        path = tmp_path / "ids.paln"
+        write_raw_store(path, ids, np.zeros((4, 2)), np.zeros((4, 1, 1, 2)))
+        for wanted in (None, ["d"], [], ["zz"], ["a"], ["a", "b", "c", "d"]):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                load_store(path, wanted)
+
+    @pytest.mark.parametrize("column", ["cls", "patch"])
+    def test_non_finite_values_fail_only_in_rows_read(self, tmp_path, column):
+        cls, patch = np.zeros((3, 2)), np.zeros((3, 2, 2, 2))
+        (cls if column == "cls" else patch)[1].flat[-1] = np.nan
+        path = tmp_path / "nan.paln"
+        write_raw_store(path, ["a", "b", "c"], cls, patch)
+        for wanted in (None, ["b"], ["c", "b"]):
+            with pytest.raises(DataError, match=f"^record 'b': non-finite {column} values$"):
+                load_store(path, wanted)
+        store = load_store(path, ["c", "a"])
+        assert store.ids == ["a", "c"]
+        assert store.cls.tobytes() == cls[[0, 2]].astype("<f4").tobytes()
+        assert store.patch.tobytes() == patch[[0, 2]].astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_absent_and_no_ids_give_stores_without_those_records(self, tmp_path, s):
+        path = tmp_path / "s.paln"
+        save_store(small_store(d=3, s=s, n=3), path)
+        for wanted in ([], ["nope"], {"nope", "other"}):
+            store = load_store(path, wanted)
+            assert (len(store), store.dim, store.patch_side) == (0, 3, s)
+            assert store.cls.shape == (0, 3)
+            assert (store.patch is None) == (s == 0)
+            with pytest.raises(DataError, match="unknown record id 'nope'"):
+                store.row("nope")
+        store = load_store(path, ["img2", "nope", "img0", "img2"])
+        assert store.ids == ["img0", "img2"]
+        assert [store.row(id) for id in store.ids] == [0, 1]
+
+    def test_subset_allocates_only_the_rows_read(self, tmp_path):
+        # 2,000 records of 1 KiB: a whole-file allocation would be 2 MB
+        path = tmp_path / "big.paln"
+        save_store(small_store(d=256, s=0, n=2000), path)
+        tracemalloc.start()
+        try:
+            store = load_store(path, ["img7", "img1999"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.ids == ["img7", "img1999"]
+        assert peak < 1 << 19
 
 
 class TestManifestIO:
