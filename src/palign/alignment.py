@@ -208,19 +208,21 @@ def batch_loss_and_grads(
 
 def _score_manifest(backbone, manifest: TripletManifest, mode: FeatureMode, margin, feats):
     """Hinge and credit arrays of _score_triplets over a manifest at the current
-    params, each id featurized once through `feature_np` (ids already in the
-    cache `feats` are reused). Chunks of triplets bound the stacked copies."""
+    params, in chunks of triplets, each chunk's distinct ids featurized through
+    `feature_np`. Ids in the caller's cache `feats` are reused and ids it lacks
+    are added, so it lives as long as the caller keeps it; without one,
+    features live for one chunk, which bounds memory whatever the length."""
     if not len(manifest):
         raise DataError("manifest must be non-empty")
-    feats = {} if feats is None else feats
     entries, hinges, credits = list(manifest), [], []
     for start in range(0, len(entries), _SCORE_CHUNK):
         chunk = entries[start : start + _SCORE_CHUNK]
         ids = _distinct_ids(chunk)
+        cache = {} if feats is None else feats
         for id in ids:
-            if id not in feats:
-                feats[id] = backbone.feature_np(id, mode)
-        rows = Tensor(np.array([feats[id] for id in ids]))
+            if id not in cache:
+                cache[id] = backbone.feature_np(id, mode)
+        rows = Tensor(np.array([cache[id] for id in ids]))
         hinge, credit = _score_triplets(rows, ids, chunk, margin)
         hinges.append(hinge.data)
         credits.append(credit)
@@ -233,7 +235,9 @@ def mean_alignment_loss(
     """Mean Eq.-style hinge loss over a manifest with frozen current params.
 
     `feats` is an optional id -> feature cache for the current params and
-    mode; ids it lacks are featurized and added to it.
+    mode; ids it lacks are featurized and added to it, and it lives as long as
+    the caller keeps it. Without one, features are held for one chunk of
+    triplets at a time.
     """
     hinge, _ = _score_manifest(backbone, manifest, config.feature_mode, config.margin, feats)
     return float(hinge.mean())
@@ -243,7 +247,8 @@ def two_afc_accuracy(backbone, manifest: TripletManifest, mode: FeatureMode, fea
     """Fraction of triplets whose closer image matches the judgment.
 
     Exact distance ties earn half credit. `feats` is a feature cache as in
-    mean_alignment_loss.
+    mean_alignment_loss: the caller's, kept as long as the caller keeps it, or
+    else one that lives for one chunk of triplets.
     """
     _, credit = _score_manifest(backbone, manifest, mode, 1.0, feats)  # credit ignores the margin
     return float(credit.mean())

@@ -302,10 +302,12 @@ def _backbone_for(store, config: dict) -> StoreBackbone:
     return bb
 
 
-def _featurizer(store, config: dict):
-    bb = _backbone_for(store, config)
+def _features(backbone, config: dict, ids) -> np.ndarray:
+    """The (len(ids), k*d) float64 features of `ids`, in order, in the
+    config's feature mode, (0, 0) for no ids: the one place an eval featurizes."""
     mode = FeatureMode(config["feature_mode"])
-    return lambda id: bb.feature_np(id, mode)
+    rows = [backbone.feature_np(id, mode) for id in ids]
+    return np.stack(rows) if rows else np.empty((0, 0))
 
 
 def _read_id_list(path: str) -> list[str]:
@@ -328,15 +330,15 @@ def _labeled_queries(labels_path, queries_path) -> tuple[dict[str, str], list[st
     return labels, query_ids
 
 
-def _gallery_and_queries(featurize, ids, labels, query_ids, labels_path):
-    """Index of the labeled non-query ids, in the order of `ids`, and the
-    query features."""
+def _gallery_and_queries(backbone, config, labels, query_ids, labels_path):
+    """Index of the labeled non-query ids, in store order, and the query
+    features; the gallery is featurized first."""
     skip = set(query_ids)
-    gallery = [id for id in ids if id in labels and id not in skip]
+    gallery = [id for id in backbone.store.ids if id in labels and id not in skip]
     if not gallery:
         raise DataError(f"no labeled gallery ids outside the queries in {labels_path}")
-    index = build_index(np.stack([featurize(id) for id in gallery]), gallery)
-    queries = {q: featurize(q) for q in query_ids}
+    index = build_index(_features(backbone, config, gallery), gallery)
+    queries = dict(zip(query_ids, _features(backbone, config, query_ids)))
     return index, queries
 
 
@@ -349,10 +351,10 @@ def _truth_sets(gallery, labels, query_ids) -> dict[str, set[str]]:
     return {q: by_label.get(labels[q], set()) for q in query_ids}
 
 
-def _recall(featurize, ids, labels, query_ids, labels_path, ks: str) -> dict:
-    index, queries = _gallery_and_queries(featurize, ids, labels, query_ids, labels_path)
+def _recall(backbone, config, labels, query_ids, labels_path) -> dict:
+    index, queries = _gallery_and_queries(backbone, config, labels, query_ids, labels_path)
     truth = _truth_sets(index.ids, labels, queries)
-    return recall_at_k(index, queries, truth, ks=_ints(ks)).to_dict()
+    return recall_at_k(index, queries, truth, ks=_ints(config["ks"])).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +461,28 @@ def cmd_align(args, config) -> int:
 
 def _eval_retrieval(args, config) -> dict:
     labels, query_ids = _labeled_queries(args.labels, args.queries)
-    store = load_store(args.store, labels)
-    featurize = _featurizer(store, config)
-    return _recall(featurize, store.ids, labels, query_ids, args.labels, config["ks"])
+    backbone = _backbone_for(load_store(args.store, labels), config)
+    return _recall(backbone, config, labels, query_ids, args.labels)
 
 
 def _eval_count(args, config) -> dict:
     train_labels, test_labels = load_labels(args.train_labels), load_labels(args.test_labels)
-    store = load_store(args.store, [*train_labels, *test_labels])
-    featurize = _featurizer(store, config)
-    train = CountDataset.from_store(store, train_labels, featurize)
-    test = CountDataset.from_store(store, test_labels, featurize)
+    backbone = _backbone_for(load_store(args.store, [*train_labels, *test_labels]), config)
+    train = _count_dataset(backbone, config, train_labels)
+    test = _count_dataset(backbone, config, test_labels)
     return knn_count_eval(train, test, ks=_ints(config["ks"]))
+
+
+def _count_dataset(backbone, config, labels: dict[str, str]) -> CountDataset:
+    """The labeled store ids, in store order, with their integer counts and features."""
+    ids = [id for id in backbone.store.ids if id in labels]
+    if not ids:
+        raise DataError("no labeled ids found in the store")
+    try:
+        counts = np.array([int(labels[id]) for id in ids])
+    except ValueError as exc:
+        raise DataError(f"count labels must be integers: {exc}") from None
+    return CountDataset(ids=ids, counts=counts, vectors=_features(backbone, config, ids))
 
 
 def _dense_inputs(args, config):
@@ -555,14 +567,13 @@ def _probe_config(config: dict) -> ProbeConfig:
 def _eval_probe(args, config) -> dict:
     probe_cfg = _probe_config(config)
     labels = load_labels(args.labels)
-    store = load_store(args.store, labels)
-    featurize = _featurizer(store, config)
-    ids = [id for id in store.ids if id in labels]
+    backbone = _backbone_for(load_store(args.store, labels), config)
+    ids = [id for id in backbone.store.ids if id in labels]
     if not ids:
         raise DataError("no labeled ids found in the store")
     names = sorted(set(labels[id] for id in ids))
     name_to_idx = {n: i for i, n in enumerate(names)}
-    x = np.stack([featurize(id) for id in ids])
+    x = _features(backbone, config, ids)
     y = np.array([name_to_idx[labels[id]] for id in ids])
     rng = np.random.default_rng(config["seed"])
     perm = rng.permutation(len(ids))
@@ -577,12 +588,9 @@ def _eval_probe(args, config) -> dict:
 
 def _eval_rag(args, config) -> dict:
     labels, query_ids = _labeled_queries(args.labels, args.queries)
-    store = load_store(args.store, labels)
-    featurize = _featurizer(store, config)
-    index, queries = _gallery_and_queries(featurize, store.ids, labels, query_ids, args.labels)
-    gallery_labels = {id: labels[id] for id in index.ids}
-    query_labels = {q: labels[q] for q in queries}
-    result = evaluate_rag(index, gallery_labels, queries, query_labels, k=config["k"])
+    backbone = _backbone_for(load_store(args.store, labels), config)
+    index, queries = _gallery_and_queries(backbone, config, labels, query_ids, args.labels)
+    result = evaluate_rag(index, labels, queries, labels, k=config["k"])
     bundles_path = Path(args.out) / "bundles.json"
     bundles_path.parent.mkdir(parents=True, exist_ok=True)
     bundles_path.write_text(
@@ -631,18 +639,9 @@ _ABLATE_INPUTS = {"retrieval": ("eval_labels", "eval_queries"), "afc": ("eval_ma
 
 
 def _ablate_eval(task, backbone, args, config, labels, query_ids, afc_manifest) -> dict:
-    mode = FeatureMode(config["feature_mode"])
     if task == "retrieval":
-        report = _recall(
-            lambda id: backbone.feature_np(id, mode),
-            backbone.store.ids,
-            labels,
-            query_ids,
-            args.eval_labels,
-            config["ks"],
-        )
-        return report["recall"]
-    return {"2afc": two_afc_accuracy(backbone, afc_manifest, mode)}
+        return _recall(backbone, config, labels, query_ids, args.eval_labels)["recall"]
+    return {"2afc": two_afc_accuracy(backbone, afc_manifest, FeatureMode(config["feature_mode"]))}
 
 
 def cmd_ablate(args, config) -> int:

@@ -417,8 +417,8 @@ def eval_seg(head: SegHead, features: np.ndarray, targets: list[DenseTarget]) ->
     """mIoU over classes present in target or prediction, plus pixel accuracy."""
     n_classes = head.n_classes
     tokens, index, truth = _valid_pixels(features, targets, "seg", n_classes)
-    logits = tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias
-    pixels = truth * n_classes + np.argmax(softmax(Tensor(logits)).data, axis=-1)[index]
+    logits = linear(tokens.reshape(-1, tokens.shape[2]), head.weight, head.bias)
+    pixels = truth * n_classes + np.argmax(softmax(logits).data, axis=-1)[index]
     confusion = np.bincount(pixels, minlength=n_classes**2).reshape(n_classes, n_classes)
     present = (confusion.sum(axis=1) + confusion.sum(axis=0)) > 0
     tp = np.diag(confusion)
@@ -436,7 +436,7 @@ DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
 def eval_depth(head: DepthHead, features: np.ndarray, targets: list[DenseTarget]) -> dict:
     """RMSE, AbsRel, log10, and delta-threshold accuracies over valid pixels."""
     tokens, index, b = _valid_pixels(features, targets, "depth", None)
-    logits = Tensor(tokens.reshape(-1, tokens.shape[2]) @ head.weight.T + head.bias)
+    logits = linear(tokens.reshape(-1, tokens.shape[2]), head.weight, head.bias)
     a = softmax_expectation(logits, head.binning.centers).data[index]
     b = b.astype(np.float64)
     ratio = np.maximum(a / b, b / a)

@@ -50,11 +50,17 @@ def build_index(vectors, ids) -> CosineIndex:
         raise DataError(f"need one row per id: matrix {matrix.shape}, {len(ids)} ids")
     if len(set(ids)) != len(ids):
         raise DataError("gallery ids must be unique")
-    norms = np.linalg.norm(matrix, axis=1)
-    for i, n in enumerate(norms):
-        if n == 0.0:
-            raise DataError(f"zero-norm gallery vector for id {ids[i]!r}")
-    return CosineIndex(matrix=matrix / norms[:, None], ids=ids)
+    return CosineIndex(matrix=_unit_rows(matrix, ids, "gallery"), ids=ids)
+
+
+def _unit_rows(x: np.ndarray, ids, role: str) -> np.ndarray:
+    """Each row of x divided by its norm; a zero row is a DataError naming the
+    first such row's id."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataError(f"zero-norm {role} vector for id {ids[zero[0]]!r}")
+    return x / norms
 
 
 def query_topk(
@@ -165,18 +171,6 @@ class CountDataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @classmethod
-    def from_store(cls, store, labels: dict[str, str], featurize) -> "CountDataset":
-        ids = [id for id in store.ids if id in labels]
-        if not ids:
-            raise DataError("no labeled ids found in the store")
-        try:
-            counts = np.array([int(labels[id]) for id in ids])
-        except ValueError as exc:
-            raise DataError(f"count labels must be integers: {exc}") from None
-        vectors = np.stack([featurize(id) for id in ids])
-        return cls(ids=ids, counts=counts, vectors=vectors)
-
 
 def _ranked(sims: np.ndarray) -> np.ndarray:
     """Each row's columns, most similar first, ties in column order: the
@@ -245,11 +239,7 @@ def knn_count_eval(train: CountDataset, test: CountDataset, ks=(1, 3, 5, 10)) ->
     best = max(loo_accuracy.values())
     chosen_k = min(k for k in ks if loo_accuracy[k] == best)
 
-    test_norms = np.linalg.norm(test.vectors, axis=1, keepdims=True)
-    if np.any(test_norms == 0.0):
-        bad = test.ids[int(np.argmin(test_norms))]
-        raise DataError(f"zero-norm test vector for id {bad!r}")
-    test_sims = (test.vectors / test_norms) @ index.matrix.T
+    test_sims = _unit_rows(test.vectors, test.ids, "test") @ index.matrix.T
     preds = _vote(train.counts, _ranked(test_sims)[:, :chosen_k])
     err = preds - test.counts
     return {

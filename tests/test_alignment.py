@@ -1,5 +1,7 @@
 """Loss identities, gradient checks against finite differences, Adam, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -485,6 +487,24 @@ class TestTwoAfc:
         bb = StoreBackbone(EmbeddingStore(ids, np.stack(cls)))
         acc = two_afc_accuracy(bb, manifest_from(entries), FeatureMode.CLS_ONLY)
         assert abs(acc - 0.5) <= 0.02
+
+    def test_holds_one_chunk_of_features_at_a_time(self):
+        # without a caller's cache, features live for one chunk of triplets, so
+        # the peak is a few chunks' worth whatever the manifest's length; the
+        # whole manifest's 9,000 features would be 9.2 MB, nearly 12 chunks
+        n, d = 3_000, 128
+        rng = np.random.default_rng(14)
+        ids = [f"i{k}" for k in range(3 * n)]
+        bb = StoreBackbone(EmbeddingStore(ids, rng.normal(size=(3 * n, d)).astype(np.float32)))
+        manifest = manifest_from([TripletEntry(*ids[3 * k : 3 * k + 3], k % 2) for k in range(n)])
+        tracemalloc.start()
+        try:
+            two_afc_accuracy(bb, manifest, FeatureMode.CLS_ONLY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = 3 * _SCORE_CHUNK * d * 8
+        assert peak < 6 * chunk_bytes, (peak, chunk_bytes)
 
     def test_scale_invariance_bit_identical(self):
         rng = np.random.default_rng(13)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from palign import cli
-from palign.backbone import save_adapters
+from palign.backbone import StoreBackbone, save_adapters
 from palign.cli import main
 from palign.data import (
     EmbeddingStore,
@@ -461,6 +461,19 @@ def test_empty_gallery_fails_clean(world_dir, tmp_path, capsys):
     assert code == 1
     assert "error: no labeled gallery ids" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", ["retrieval", "rag"])
+def test_empty_queries_file_fails_clean(world_dir, tmp_path, capsys, task):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("\n \n")  # blank lines name no query
+    code, err = run_captured(
+        capsys, "eval", task, "--store", world_dir / "store.paln",
+        "--labels", world_dir / "instance_labels.csv", "--queries", queries,
+        "--out", tmp_path / "o",
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "error: queries must be non-empty"
 
 
 @pytest.mark.parametrize(
@@ -957,10 +970,9 @@ def test_truth_sets_are_the_gallery_scan(gallery, query_ids, data):
 
 def test_query_whose_label_has_no_gallery_id_fails():
     labels = {"g1": "a", "g2": "b", "q1": "a", "q2": "c"}
+    backbone = StoreBackbone(EmbeddingStore(list(labels), np.ones((4, 2))), rank=1)
     with pytest.raises(DataError, match="^query 'q2' has an empty ground-truth set$"):
-        cli._recall(
-            lambda id: np.ones(2), ["g1", "g2", "q1", "q2"], labels, ["q1", "q2"], "l.csv", "1"
-        )
+        cli._recall(backbone, {"feature_mode": "cls", "ks": "1"}, labels, ["q1", "q2"], "l.csv")
 
 
 def _outputs(out: Path) -> dict:
@@ -1042,3 +1054,207 @@ def test_bad_store_fails_clean_in_every_command(
     if code:
         assert lines and lines[-1].startswith("error: "), lines
 
+
+
+def _run_bad(argv, out) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one command run on a bad input."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv, "--out", out)
+    return code, err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def tiny_adapters(tiny_world, tmp_path_factory):
+    out = tmp_path_factory.mktemp("adapters")
+    assert run(*tiny_argv(tiny_world, "align"), "--out", out) == 0
+    return out / "adapters.pala"
+
+
+def _adapter_fields(raw: bytes) -> dict[str, list[int]]:
+    """The offset of the matrix count and of each matrix's name length and
+    shape (rows, then cols) in a .pala file."""
+    fields = {"count": [8], "name length": [], "shape": []}
+    at = 16  # after the magic, the u32 version and the u64 count
+    (count,) = struct.unpack("<Q", raw[8:16])
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", raw[at : at + 4])
+        shape = at + 4 + name_len
+        rows, cols = struct.unpack("<II", raw[shape : shape + 8])
+        fields["name length"].append(at)
+        fields["shape"] += [shape, shape + 4]
+        at = shape + 8 + 4 * rows * cols
+    return fields
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    task=st.sampled_from(EVAL_TASKS),
+    kind=st.sampled_from(["truncate", "flip", "count", "name length", "shape"]),
+)
+def test_bad_adapters_fail_clean_in_every_eval(
+    tiny_world, tiny_adapters, tmp_path_factory, data, task, kind
+):
+    # a truncated or lying .pala exits 1; a bit-flipped one may still load
+    raw = bytearray(tiny_adapters.read_bytes())
+    if kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    elif kind == "flip":
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    else:
+        at = data.draw(st.sampled_from(_adapter_fields(raw)[kind]))
+        size = 8 if kind == "count" else 4
+        (truth,) = struct.unpack(f"<{'Q' if size == 8 else 'I'}", raw[at : at + size])
+        lie = data.draw(st.integers(0, 2 ** (8 * size) - 1).filter(lambda n: n != truth))
+        raw[at : at + size] = lie.to_bytes(size, "little")
+    out = tmp_path_factory.mktemp("bad")
+    (out / "adapters.pala").write_bytes(bytes(raw))
+    argv = [*tiny_argv(tiny_world, "eval", task), "--adapters", out / "adapters.pala"]
+    code, lines = _run_bad(argv, out / "o")
+    assert code in ((0, 1) if kind == "flip" else (1,)), (code, lines)
+    if code:
+        assert lines and lines[-1].startswith("error: "), lines
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    task=st.sampled_from(["seg", "depth"]),
+    kind=st.sampled_from(["truncate", "kind byte", "height", "width"]),
+)
+def test_bad_targets_fail_clean(tiny_world, tmp_path_factory, data, task, kind):
+    out = tmp_path_factory.mktemp("bad")
+    targets = out / task
+    targets.mkdir()
+    names = sorted(p.name for p in (tiny_world / task).iterdir())
+    for name in names:
+        (targets / name).write_bytes((tiny_world / task / name).read_bytes())
+    victim = targets / data.draw(st.sampled_from(names))
+    raw = bytearray(victim.read_bytes())  # magic, u32 H, u32 W, kind byte, values, mask
+    if kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    elif kind == "kind byte":
+        raw[12] = data.draw(st.integers(2, 255))  # 0 is seg, 1 is depth
+    else:
+        at = 4 if kind == "height" else 8
+        (truth,) = struct.unpack("<I", raw[at : at + 4])
+        lie = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != truth))
+        raw[at : at + 4] = struct.pack("<I", lie)
+    victim.write_bytes(bytes(raw))
+    argv = [targets if a == tiny_world / task else a for a in tiny_argv(tiny_world, "eval", task)]
+    code, lines = _run_bad(argv, out / "o")
+    assert code == 1, (code, lines)
+    assert lines and lines[-1].startswith("error: "), lines
+
+
+def _ablate_argv(w: Path) -> list:
+    """`tiny_argv`'s ablate with the retrieval task too, so it reads every
+    input file ablate takes."""
+    return [
+        *tiny_argv(w, "ablate"), "--tasks", "afc,retrieval",
+        "--eval-labels", w / "instance_labels.csv", "--eval-queries", w / "queries.txt",
+    ]
+
+
+# each CSV a command reads: the command line and the flag naming the file;
+# --dataset names its manifest after the store
+CSV_INPUTS = [
+    (("align", None), "--manifest"),
+    *((("eval", task), "--labels") for task in ("retrieval", "rag", "probe")),
+    (("eval", "count"), "--train-labels"),
+    (("eval", "count"), "--test-labels"),
+    (("ablate", None), "--dataset"),
+    (("ablate", None), "--eval-manifest"),
+    (("ablate", None), "--eval-labels"),
+]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), case=st.sampled_from(CSV_INPUTS))
+def test_bad_csv_fails_clean_in_every_command(tiny_world, tmp_path_factory, data, case):
+    (command, task), flag = case
+    argv = _ablate_argv(tiny_world) if command == "ablate" else tiny_argv(tiny_world, command, task)
+    at = argv.index(flag) + 1
+    good = Path(str(argv[at]).split(":", 1)[1]) if flag == "--dataset" else argv[at]
+    lines = good.read_text().splitlines()
+    header = lines[0].split(",")
+    manifest = header == ["ref", "x0", "x1", "y"]
+    kind = data.draw(
+        st.sampled_from(["header", "width", "not UTF-8", "bad y" if manifest else "duplicate id"])
+    )
+    row = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[row].split(",")
+    if kind == "header":
+        names = st.sampled_from(["id", "label", "ref", "x0", "x1", "y", "z"])
+        lines[0] = ",".join(data.draw(st.lists(names, max_size=5).filter(lambda h: h != header)))
+    elif kind == "width":
+        width = data.draw(st.integers(1, 6).filter(lambda n: n != len(header)))
+        lines[row] = ",".join((fields * 6)[:width])
+    elif kind == "bad y":
+        y = data.draw(st.text("01-. yes", max_size=3).filter(lambda t: t not in ("0", "1")))
+        lines[row] = ",".join([*fields[:3], y])
+    elif kind == "duplicate id":
+        copied = lines[data.draw(st.integers(1, len(lines) - 1))].split(",")[0]
+        lines.insert(row, f"{copied},{data.draw(st.sampled_from('xyz'))}")
+    raw = "\n".join(lines).encode() + b"\n"
+    if kind == "not UTF-8":
+        cut = data.draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + data.draw(st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x82"])) + raw[cut:]
+    out = tmp_path_factory.mktemp("bad")
+    (out / "bad.csv").write_bytes(raw)
+    bad = out / "bad.csv"
+    if flag == "--dataset":
+        bad = f"{str(argv[at]).split(':', 1)[0]}:{bad}"
+    code, err = _run_bad([*argv[:at], bad, *argv[at + 1 :]], out / "o")
+    assert code == 1, (kind, code, err)
+    assert err and err[-1].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["a", "a={store}", "a={store}:{w}/no.csv", "a={w}/no.paln:{manifest}", "a={manifest}:{store}",
+     "a={w}:{manifest}"],
+    ids=["no name", "no manifest", "missing manifest", "missing store", "swapped", "directory"],
+)
+def test_bad_ablate_dataset_spec_fails_clean(tiny_world, tmp_path, spec):
+    w = tiny_world
+    spec = spec.format(w=w, store=w / "store.paln", manifest=w / "triplets.csv")
+    argv = _ablate_argv(w)
+    at = argv.index("--dataset") + 1
+    code, lines = _run_bad([*argv[:at], spec, *argv[at + 1 :]], tmp_path / "o")
+    assert code == 1, (code, lines)
+    assert lines and lines[-1].startswith("error: "), lines
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    which=st.sampled_from(["--dataset", "--eval-store"]),
+    kind=st.sampled_from(["truncate", "flip", "count"]),
+)
+def test_bad_store_fails_clean_in_ablate(tiny_world, tmp_path_factory, data, which, kind):
+    # a truncated or lying store exits 1, whether it trains or scores the
+    # adapters; a bit-flipped one may still load
+    good = tiny_world / "store.paln"
+    raw = bytearray(good.read_bytes())
+    if kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    elif kind == "flip":
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    else:
+        count = data.draw(st.integers(0, 2**64 - 1).filter(lambda c: c != len(load_store(good))))
+        raw[16:24] = struct.pack("<Q", count)
+    out = tmp_path_factory.mktemp("bad")
+    (out / "store.paln").write_bytes(bytes(raw))
+    argv = _ablate_argv(tiny_world)
+    if which == "--dataset":
+        argv[argv.index("--dataset") + 1] = f"a={out / 'store.paln'}:{tiny_world / 'triplets.csv'}"
+    else:
+        argv += ["--eval-store", out / "store.paln"]
+    code, lines = _run_bad(argv, out / "o")
+    assert code in ((0, 1) if kind == "flip" else (1,)), (code, lines)
+    if code:
+        assert lines and lines[-1].startswith("error: "), lines

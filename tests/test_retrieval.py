@@ -45,6 +45,18 @@ class TestBuildIndex:
             build_index(np.eye(2), ["x", "x"])
 
 
+@pytest.mark.parametrize("role", ["gallery", "test"])
+def test_zero_row_names_the_first_zero_rows_id(role):
+    vectors = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    ids = ["a", "z1", "b", "z2"]
+    with pytest.raises(DataError, match=f"^zero-norm {role} vector for id 'z1'$"):
+        if role == "gallery":
+            build_index(vectors, ids)
+        else:
+            train = CountDataset(["t0", "t1", "t2"], [0, 1, 1], np.array([[1, 0], [0, 1], [1, 1]]))
+            knn_count_eval(train, CountDataset(ids, [0, 0, 0, 0], vectors), ks=[1])
+
+
 class TestQueryTopk:
     def test_exact_match_first(self):
         rng = np.random.default_rng(0)
