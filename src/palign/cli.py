@@ -652,6 +652,11 @@ def cmd_ablate(args, config) -> int:
         if "=" not in spec or ":" not in spec.split("=", 1)[1]:
             raise DataError(f"--dataset must be name=STORE:MANIFEST, got {spec!r}")
         name, paths = spec.split("=", 1)
+        # report rows are told apart by dataset name
+        if not name:
+            raise DataError(f"--dataset name must be non-empty, got {spec!r}")
+        if any(name == seen for seen, _, _ in datasets):
+            raise DataError(f"--dataset name {name!r} given twice")
         store_path, manifest_path = paths.split(":", 1)
         datasets.append((name, store_path, manifest_path))
     tasks = [t for t in config["tasks"].split(",") if t]

@@ -142,18 +142,37 @@ class TripletManifest:
 # ---------------------------------------------------------------------------
 
 
+_U32 = struct.Struct("<I")
+_STORE_WRITE_BYTES = 1 << 20  # float bytes of the records joined into one write
+
+
 def save_store(store: EmbeddingStore, path) -> int:
-    """Write the store; returns the number of bytes written."""
+    """Write the store; returns the number of bytes written.
+
+    Records go out in chunks of about _STORE_WRITE_BYTES of floats (at least
+    one record), each chunk joined into one write from byte views of the
+    columns."""
+    n, cls_len = len(store), 4 * store.dim
+    patch_len = 4 * store.dim * store.patch_side**2
+    chunk = max(1, _STORE_WRITE_BYTES // (cls_len + patch_len))
+    # flat little-endian byte views; memoryview(...).cast("B") would refuse a
+    # zero-record array
+    cls = memoryview(store.cls.astype("<f4", copy=False).view(np.uint8).reshape(-1))
+    patch = None
+    if store.patch is not None:
+        patch = memoryview(store.patch.astype("<f4", copy=False).view(np.uint8).reshape(-1))
     with open(path, "wb") as f:
-        header = struct.pack("<IIIQ", STORE_VERSION, store.dim, store.patch_side, len(store))
-        n = f.write(STORE_MAGIC + header)
-        for i, id in enumerate(store.ids):
-            id_bytes = id.encode("utf-8")
-            n += f.write(struct.pack("<I", len(id_bytes)) + id_bytes)
-            n += f.write(store.cls[i].astype("<f4", copy=False).tobytes())
-            if store.patch is not None:
-                n += f.write(store.patch[i].astype("<f4", copy=False).tobytes())
-    return n
+        header = struct.pack("<IIIQ", STORE_VERSION, store.dim, store.patch_side, n)
+        written = f.write(STORE_MAGIC + header)
+        for start in range(0, n, chunk):
+            parts = []
+            for i in range(start, min(start + chunk, n)):
+                id_bytes = store.ids[i].encode("utf-8")
+                parts += (_U32.pack(len(id_bytes)), id_bytes, cls[i * cls_len : (i + 1) * cls_len])
+                if patch is not None:
+                    parts.append(patch[i * patch_len : (i + 1) * patch_len])
+            written += f.write(b"".join(parts))
+    return written
 
 
 class BoundedReader:
@@ -194,7 +213,6 @@ class BoundedReader:
             raise FormatError(f"{self.kind} file: {what} is not UTF-8 ({exc})") from None
 
 
-_U32 = struct.Struct("<I")
 _STORE_READ_BUFFER = 1 << 16  # bytes; the small per-record reads come from memory
 
 
@@ -537,6 +555,8 @@ def _class_latent(rng, centers: np.ndarray, k: int) -> np.ndarray:
 # before any check, with a few draws merged into one call where the stream is
 # the same: rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), and normal
 # draws of sizes a and b in a row are one draw of size a + b split at a.
+# A screen may skip an attempt's exact checks only where they would reject
+# it, so it changes neither the draws nor the kept values (see _perturb_pair).
 
 
 def _uniform(bounds: tuple[float, float], u: float) -> float:
@@ -567,6 +587,78 @@ def _in_band(
     return abs(rel_gap) < _TIE_BAND if contested else rel_gap >= _TIE_BAND
 
 
+# A pair attempt is screened before the exact code runs. Each variation is
+# z + r * w/|w| with w nonzero only on its drawn coordinates, so both of its
+# cosine distances from z follow in closed form from four sums over those
+# coordinates: the latent one from sum x^2 and sum z_i x, the warped one also
+# from sum (Gz)_i x and sum G_ii x^2, where G = emb_map.T @ emb_map is taken as
+# diagonal. The screen can only reject: an attempt it cannot settle, or does
+# not reject, goes through the exact code, which alone accepts an attempt and
+# builds the kept values. It rejects only by more than _SCREEN_MARGIN, and
+# judges the warped gap only when both warped distances exceed _SCREEN_FLOOR;
+# _perturb_pair's docstring gives the error bound these margins cover.
+_SCREEN_MARGIN = 1e-6  # latent and relative-gap margin of a screen rejection
+_SCREEN_FLOOR = 1e-3  # smallest warped distance whose relative gap is screened
+_SCREEN_OFF_DIAGONAL = 1e-14  # largest |G_ij|, i != j, the screen runs with
+
+
+def _screen_terms(z: np.ndarray, emb_map: np.ndarray):
+    """Per-call terms of `_screen_rejects` for latent z: z, Gz and diag(G) as
+    lists, and z'z, |z|, z'Gz, sqrt(z'Gz) as floats. None when G is not
+    diagonal to within _SCREEN_OFF_DIAGONAL or z'z or z'Gz is not positive;
+    every attempt then takes the exact path."""
+    gram = emb_map.T @ emb_map
+    diag = np.diag(gram)
+    if np.abs(gram - np.diag(diag)).max() >= _SCREEN_OFF_DIAGONAL:
+        return None
+    gz = gram @ z
+    zz, zgz = float(z.dot(z)), float(z.dot(gz))
+    if not (zz > 0 and zgz > 0):
+        return None
+    return z.tolist(), gz.tolist(), diag.tolist(), zz, math.sqrt(zz), zgz, math.sqrt(zgz)
+
+
+def _screen_rejects(
+    terms, order: np.ndarray, g: np.ndarray, r_near: float, r_far: float, contested: bool
+) -> bool:
+    """True when a pair attempt surely fails `_perturb_pair`'s checks: the
+    attempt's variations put draws g[:h] at order[:h] with radius r_near and
+    g[h:] at order[h:] with radius r_far, h = f // 2. False means only that
+    the screen cannot tell; the exact code then decides."""
+    z, gz, gdiag, zz, norm_z, zgz, norm_ez = terms
+    idx, x = order.tolist(), g.tolist()
+    h = len(x) // 2
+    latent, warped = [], []
+    for lo, hi, r in ((0, h, r_near), (h, len(x), r_far)):
+        sxx = szx = sgx = sgxx = 0.0
+        for k, xi in zip(idx[lo:hi], x[lo:hi]):
+            sxx += xi * xi
+            szx += z[k] * xi
+            sgx += gz[k] * xi
+            sgxx += gdiag[k] * xi * xi
+        if sxx == 0 or szx == 0 or sgx == 0 or sgxx == 0:
+            return False
+        t = r / math.sqrt(sxx)  # the scale of x in the variation
+        radicand = zz + 2 * t * szx + r * r  # |v|^2
+        warped_radicand = zgz + 2 * t * sgx + t * t * sgxx  # |emb_map v|^2
+        if not (radicand > 0 and warped_radicand > 0):
+            return False
+        latent.append(1.0 - (zz + t * szx) / (norm_z * math.sqrt(radicand)))
+        warped.append(1.0 - (zgz + t * sgx) / (norm_ez * math.sqrt(warped_radicand)))
+    d_near, d_far = latent
+    if d_near - d_far > _SCREEN_MARGIN:
+        return True
+    if not (d_far - d_near > _SCREEN_MARGIN):
+        return False
+    w_near, w_far = warped
+    if not (w_near > _SCREEN_FLOOR and w_far > _SCREEN_FLOOR):
+        return False
+    rel_gap = (w_far - w_near) / (0.5 * (w_far + w_near))
+    if contested:
+        return abs(rel_gap) - _TIE_BAND > _SCREEN_MARGIN
+    return _TIE_BAND - rel_gap > _SCREEN_MARGIN
+
+
 def _perturb_pair(
     rng, z: np.ndarray, emb_map: np.ndarray, contested: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -575,19 +667,40 @@ def _perturb_pair(
 
     A contested pair additionally lands inside the warped-space near-tie
     band, so the anisotropic embedding map decides its frozen ranking.
+
+    Each attempt makes its draws, then `_screen_rejects` may reject it; any
+    attempt it does not reject runs the exact checks (`_offset`, `_cosdist`,
+    `_in_band`), which alone accept an attempt and build the kept values, so
+    the draws, the stream and the pair are those of the exact code alone. The
+    screen runs only when G = emb_map.T @ emb_map has no off-diagonal entry of
+    _SCREEN_OFF_DIAGONAL (1e-14) or more; for a QR map they are about 1e-16.
+
+    Error bound of the screen, which rejects only past a 1e-6 margin:
+    - its latent distances differ from the exact ones by round-off in a few
+      f-term sums (at most 7e-16 measured over 48,000 attempts);
+    - its warped distances drop G's off-diagonal terms, at most
+      h * r^2 * 1e-14 in |emb_map v|^2, and miss the round-off of the exact
+      path's d-term dots (about d * 1.1e-16 relative); so each is within
+      delta = 1e-12 of the exact value. The relative gap moves by at most
+      4 * delta / (w_near + w_far), which is 2e-9 with both warped distances
+      above _SCREEN_FLOOR (1e-3) (at most 9e-14 measured, at d up to 768).
     """
     f = z.size
     h = f // 2
     norm_z = _norm(z)
     ez = emb_map @ z
     norm_ez = _norm(ez)
+    terms = _screen_terms(z, emb_map)
     for _ in range(_MAX_RESAMPLE):
         order = rng.permutation(f)
         u_base, u_ratio = rng.random(2).tolist()
         g = rng.normal(size=f)
         base = _uniform(_PERT_BASE, u_base)
+        r_far = base * _uniform(_PERT_RATIO, u_ratio)
+        if terms is not None and _screen_rejects(terms, order, g, base, r_far, contested):
+            continue
         near = _offset(z, order[:h], g[:h], base)
-        far = _offset(z, order[h:], g[h:], base * _uniform(_PERT_RATIO, u_ratio))
+        far = _offset(z, order[h:], g[h:], r_far)
         if _cosdist(z, norm_z, near) >= _cosdist(z, norm_z, far):
             continue
         if _in_band(ez, norm_ez, emb_map, near, far, contested):

@@ -1215,15 +1215,22 @@ def test_bad_csv_fails_clean_in_every_command(tiny_world, tmp_path_factory, data
 @pytest.mark.parametrize(
     "spec",
     ["a", "a={store}", "a={store}:{w}/no.csv", "a={w}/no.paln:{manifest}", "a={manifest}:{store}",
-     "a={w}:{manifest}"],
-    ids=["no name", "no manifest", "missing manifest", "missing store", "swapped", "directory"],
+     "a={w}:{manifest}", "={store}:{manifest}", ("a={store}:{manifest}", "a={store}:{manifest}")],
+    ids=["no name", "no manifest", "missing manifest", "missing store", "swapped", "directory",
+         "empty name", "repeated name"],
 )
 def test_bad_ablate_dataset_spec_fails_clean(tiny_world, tmp_path, spec):
+    # a tuple is one --dataset per spec; report rows are told apart by name,
+    # so an empty or repeated name fails too
     w = tiny_world
-    spec = spec.format(w=w, store=w / "store.paln", manifest=w / "triplets.csv")
+    specs = (spec,) if isinstance(spec, str) else spec
+    flags = []
+    for one in specs:
+        one = one.format(w=w, store=w / "store.paln", manifest=w / "triplets.csv")
+        flags += ["--dataset", one]
     argv = _ablate_argv(w)
-    at = argv.index("--dataset") + 1
-    code, lines = _run_bad([*argv[:at], spec, *argv[at + 1 :]], tmp_path / "o")
+    at = argv.index("--dataset")
+    code, lines = _run_bad([*argv[:at], *flags, *argv[at + 2 :]], tmp_path / "o")
     assert code == 1, (code, lines)
     assert lines and lines[-1].startswith("error: "), lines
 

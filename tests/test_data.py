@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palign.data import (
+    _STORE_WRITE_BYTES,
     STORE_MAGIC,
     STORE_VERSION,
     BoundedReader,
@@ -319,6 +320,41 @@ def write_raw_store(path, ids, cls, patch=None) -> None:
 
 # ids of 1-4 characters of 1-4 UTF-8 bytes each
 STORE_IDS = st.text(st.sampled_from("aZ_/.,é中😀\x00"), min_size=1, max_size=4)
+
+
+class TestStoreWriterOracle:
+    """save_store's bytes against `write_raw_store`, which writes one record
+    at a time; save_store joins the records of a chunk into one write."""
+
+    @pytest.mark.parametrize(
+        "d, s, n, chunk",
+        [
+            (3, 0, 0, None),
+            (3, 2, 0, None),
+            (3, 2, 5, None),
+            (2, 0, 6, 3),
+            (2, 0, 7, 3),
+            (2, 1, 9, 3),
+            (256, 0, None, None),  # n None: twice the default chunk and one more
+        ],
+        ids=["no records", "no records, patches", "patches", "ends on a chunk boundary",
+             "one past a chunk boundary", "patches over chunks", "default chunk"],
+    )
+    @pytest.mark.parametrize("ascii_ids", [True, False], ids=["ascii", "non-ascii"])
+    def test_bytes_match_per_record_writer(self, d, s, n, chunk, ascii_ids, tmp_path, monkeypatch):
+        record_bytes = 4 * d * (1 + s * s)
+        if chunk is not None:
+            monkeypatch.setattr("palign.data._STORE_WRITE_BYTES", chunk * record_bytes)
+        if n is None:
+            n = 2 * (_STORE_WRITE_BYTES // record_bytes) + 1
+        stem = "img" if ascii_ids else "é中😀\x00"
+        base = small_store(d=d, s=s, n=n, seed=n)
+        store = EmbeddingStore([f"{stem[: i % 4 + 1]}{i}" for i in range(n)], base.cls, base.patch)
+        got, want = tmp_path / "got.paln", tmp_path / "want.paln"
+        assert save_store(store, got) == got.stat().st_size
+        write_raw_store(want, store.ids, store.cls, store.patch)
+        assert got.read_bytes() == want.read_bytes()
+        assert stores_equal(load_store(got), store)
 
 
 class TestStoreLoaderOracle:

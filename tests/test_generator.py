@@ -242,6 +242,10 @@ def test_world_matches_reference(s, noise_sigma, factor_count, n_instances, tmp_
         (SyntheticFactorSpec(n_triplets=300, d=64, seed=4), 60),
         (SyntheticFactorSpec(n_triplets=150, d=64, s=4, seed=5), 30),
         (SyntheticFactorSpec(n_triplets=200, d=48, factor_count=6, noise_sigma=0.1, seed=6), 40),
+        # paper width: the pair screen's error bound grows with d
+        (SyntheticFactorSpec(n_triplets=300, d=768, seed=7), 20),
+        # 3 factors: warped distances fall below the screen's floor most often
+        (SyntheticFactorSpec(n_triplets=300, d=24, factor_count=3, seed=8), 30),
     ],
 )
 def test_larger_world_matches_reference(spec, n_instances, tmp_path):
@@ -281,6 +285,48 @@ def test_sampler_matches_reference_and_leaves_stream_in_step(sampler, reference,
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("f", [2, 3, 5, 8])
+@pytest.mark.parametrize("d", ["f", 16, 64, 768])
+def test_pair_screen_rejects_only_what_the_exact_checks_reject(f, d):
+    # _perturb_pair's attempts, drawn as it draws them, each judged by the
+    # screen and by the exact checks that alone accept an attempt
+    d = f if d == "f" else d
+    emb_map, zs = sampler_inputs(f, d, seed=100 + f + d)
+    rng = np.random.default_rng([f, d])
+    h = f // 2
+    screened = 0
+    n_attempts = 1500
+    for i in range(n_attempts):
+        z, contested = zs[i % len(zs)], i % 2 == 0
+        terms = D._screen_terms(z, emb_map)
+        assert terms is not None  # a QR map's Gram matrix is diagonal to 1e-14
+        order = rng.permutation(f)
+        u_base, u_ratio = rng.random(2).tolist()
+        g = rng.normal(size=f)
+        base = D._uniform(D._PERT_BASE, u_base)
+        r_far = base * D._uniform(D._PERT_RATIO, u_ratio)
+        if not D._screen_rejects(terms, order, g, base, r_far, contested):
+            continue
+        screened += 1
+        near = D._offset(z, order[:h], g[:h], base)
+        far = D._offset(z, order[h:], g[h:], r_far)
+        norm_z, ez = D._norm(z), emb_map @ z
+        assert (
+            D._cosdist(z, norm_z, near) >= D._cosdist(z, norm_z, far)
+            or not D._in_band(ez, D._norm(ez), emb_map, near, far, contested)
+        ), f"attempt {i}: the screen rejected an attempt the exact checks accept"
+    if f == 8:
+        # at the benchmark's factor count most attempts never reach the exact checks
+        assert screened > n_attempts // 2, screened
+
+
+def test_pair_screen_is_off_for_a_map_with_correlated_columns():
+    emb_map, zs = sampler_inputs(5, 16, seed=0)
+    emb_map = emb_map.copy()
+    emb_map[:, 1] += 1e-6 * emb_map[:, 0]
+    assert D._screen_terms(zs[0], emb_map) is None
 
 
 # ---------------------------------------------------------------------------
